@@ -2,16 +2,16 @@
 //! the `MeasurementSet` seam as a command-line tool.
 //!
 //! ```text
-//! exp_corpus record  --dir D [--seeds 1,2] [--take N] [--jsonl] [--append]
+//! exp_corpus record  --dir D [--seeds 1,2] [--take N] [--append]
 //! exp_corpus replay  --dir D [--verify]
 //! exp_corpus reinfer --dir D [--thresholds 0.02,0.04,0.08]
+//! exp_corpus dump    --dir D
 //! ```
 //!
 //! * `record` simulates the scenario library's identity suite (the same 14
 //!   scenarios the golden fingerprint tests pin) at each seed and stores
-//!   every `MeasurementSet` in the corpus directory (binary codec;
-//!   `--jsonl` additionally writes the human-readable dump next to each
-//!   entry). `--take N` records only the first N suite members.
+//!   every `MeasurementSet` in the corpus directory (binary codec).
+//!   `--take N` records only the first N suite members.
 //!   `--append` adds onto an existing corpus — and exits 1 *before
 //!   writing anything* if any new set's identity (scenario fingerprint +
 //!   seed) is already stored, so a live tail never sees an entry rewrite
@@ -22,18 +22,22 @@
 //! * `reinfer` runs Algorithm 1/2 over every stored set at each decision
 //!   threshold **without any simulation** — measurement acquisition and
 //!   inference fully decoupled.
+//! * `dump` prints every entry as text: provenance, topology, classes and
+//!   one sent/lost row per interval. The text is for reading and grepping
+//!   only; nothing parses it back, so it carries no format version.
 
 use nni_bench::Table;
 use nni_core::DecisionMode;
-use nni_measure::{jsonl, Corpus, MeasurementSource};
+use nni_measure::{Corpus, MeasurementSet, MeasurementSource};
 use nni_scenario::library::identity_suite;
 use nni_scenario::{infer, InferenceConfig, SerialExecutor};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: exp_corpus record  --dir D [--seeds 1,2] [--take N] [--jsonl] [--append]\n\
+        "usage: exp_corpus record  --dir D [--seeds 1,2] [--take N] [--append]\n\
                 exp_corpus replay  --dir D [--verify]\n\
-                exp_corpus reinfer --dir D [--thresholds 0.02,0.04]"
+                exp_corpus reinfer --dir D [--thresholds 0.02,0.04]\n\
+                exp_corpus dump    --dir D"
     );
     std::process::exit(2);
 }
@@ -42,7 +46,6 @@ struct Args {
     dir: Option<String>,
     seeds: Vec<u64>,
     take: Option<usize>,
-    jsonl: bool,
     append: bool,
     verify: bool,
     thresholds: Vec<f64>,
@@ -53,7 +56,6 @@ fn parse_args(rest: &[String]) -> Args {
         dir: None,
         seeds: vec![3, 11],
         take: None,
-        jsonl: false,
         append: false,
         verify: false,
         thresholds: vec![0.02, 0.04, 0.08],
@@ -88,10 +90,6 @@ fn parse_args(rest: &[String]) -> Args {
                     .map(|s| s.parse().expect("--thresholds F,F,..."))
                     .collect();
                 i += 2;
-            }
-            "--jsonl" => {
-                out.jsonl = true;
-                i += 1;
             }
             "--append" => {
                 out.append = true;
@@ -156,10 +154,6 @@ fn record(args: &Args) {
     }
     for set in &sets {
         let path = corpus.store(set).expect("store entry");
-        if args.jsonl {
-            let sidecar = path.with_extension("jsonl");
-            std::fs::write(&sidecar, jsonl::to_jsonl(set)).expect("write jsonl dump");
-        }
         println!(
             "  {}  ({} intervals × {} paths, fp {:016x})",
             path.file_name().unwrap_or_default().to_string_lossy(),
@@ -226,15 +220,17 @@ fn replay(args: &Args) {
     }
 }
 
-fn reinfer(args: &Args) {
+/// Every stored set, or exit 1 on the first decode failure.
+fn load_sets(args: &Args) -> Vec<MeasurementSet> {
     let corpus = open_corpus(args);
-    let sets = match corpus.load_all() {
-        Ok(sets) => sets,
-        Err(err) => {
-            eprintln!("FAILED to load corpus {}: {err}", corpus.dir().display());
-            std::process::exit(1);
-        }
-    };
+    corpus.load_all().unwrap_or_else(|err| {
+        eprintln!("FAILED to load corpus {}: {err}", corpus.dir().display());
+        std::process::exit(1);
+    })
+}
+
+fn reinfer(args: &Args) {
+    let sets = load_sets(args);
     println!(
         "== re-inference over {} stored sets (zero simulations) ==\n",
         sets.len()
@@ -273,6 +269,59 @@ fn reinfer(args: &Args) {
     println!("{t}");
 }
 
+/// Space-separated values inside brackets: `[1 2 3]`.
+fn row(values: impl Iterator<Item = u64>) -> String {
+    let items: Vec<String> = values.map(|v| v.to_string()).collect();
+    format!("[{}]", items.join(" "))
+}
+
+/// Prints every stored set as text; nothing parses it back.
+fn dump(args: &Args) {
+    for set in &load_sets(args) {
+        let p = &set.provenance;
+        println!(
+            "== scenario {:?} seed {} build {:?}",
+            p.scenario, p.seed, p.build
+        );
+        let (scenario_fp, set_fp) = (p.scenario_fingerprint, set.fingerprint());
+        println!("scenario fingerprint {scenario_fp:016x}  set fingerprint {set_fp:016x}");
+        let topo = &set.topology;
+        for l in topo.links() {
+            println!(
+                "link {} {} -> {} {} b/s {} s",
+                l.name,
+                topo.node(l.src).name,
+                topo.node(l.dst).name,
+                l.capacity_bps,
+                l.delay_s
+            );
+        }
+        for path in topo.paths() {
+            let links: Vec<&str> = path.links().iter().map(|&l| &*topo.link(l).name).collect();
+            println!("path {} {}", path.name(), links.join(" "));
+        }
+        for (k, class) in set.classes.iter().enumerate() {
+            let names: Vec<&str> = class.iter().map(|&q| topo.path(q).name()).collect();
+            println!("class {k} {}", names.join(" "));
+        }
+        let log = &set.log;
+        println!(
+            "log {} intervals x {} paths, {} s each, delay {}",
+            log.interval_count(),
+            log.path_count(),
+            log.interval_s(),
+            if log.has_delay() { "recorded" } else { "none" }
+        );
+        for t in 0..log.interval_count() {
+            println!(
+                "t {t} sent {} lost {}",
+                row(topo.path_ids().map(|q| log.sent(t, q))),
+                row(topo.path_ids().map(|q| log.lost(t, q)))
+            );
+        }
+    }
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = argv.first() else { usage() };
@@ -281,6 +330,7 @@ fn main() {
         "record" => record(&args),
         "replay" => replay(&args),
         "reinfer" => reinfer(&args),
+        "dump" => dump(&args),
         _ => usage(),
     }
 }

@@ -23,9 +23,10 @@ use nni_bench::{run_topology_a, table2_sets, ExperimentParams, Mechanism};
 use nni_emu::{
     link_params, measured_routes, CcKind, RouteId, SimConfig, Simulator, SizeDist, TrafficSpec,
 };
+use nni_measure::json_escape;
 use nni_scenario::{
     default_worker_bin, reinfer_sets, Executor, MeasurementCache, ProcessExecutor, SerialExecutor,
-    StreamingInference, SweepSet, WorkerTransport,
+    StreamingInference, SweepSet,
 };
 use nni_topology::library::topology_a;
 use std::time::{Duration, Instant};
@@ -170,19 +171,6 @@ fn live_workload(set: &nni_scenario::MeasurementSet) -> u64 {
 }
 
 /// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn json_entry(label: &str, mode: &str, results: &[BenchResult]) -> String {
     let mut out = String::new();
     out.push_str("  {\n");
@@ -370,21 +358,9 @@ fn main() {
         results.push(measure("process/table2_sweep_3s", sweep_iters, || {
             pool.execute(&sweep).len()
         }));
-        // The same sweep with the frames crossing loopback TCP instead of
-        // stdio pipes: the socket transport's framing + connect overhead
-        // against the pipe baseline above.
-        let tcp = ProcessExecutor::new(2)
-            .with_worker_bin(&worker)
-            .with_transport(WorkerTransport::Tcp);
-        results.push(measure(
-            "process_socket/table2_sweep_3s",
-            sweep_iters,
-            || tcp.execute(&sweep).len(),
-        ));
     } else {
         eprintln!(
-            "perf_record: skipping process/table2_sweep_3s and \
-             process_socket/table2_sweep_3s \
+            "perf_record: skipping process/table2_sweep_3s \
              (worker binary {} not found; build nni-service first)",
             worker.display()
         );

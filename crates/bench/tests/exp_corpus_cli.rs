@@ -101,3 +101,28 @@ fn corrupt_prefix_fails_listing_with_exit_one() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("FAILED to list corpus"));
     fs::remove_dir_all(&dir).expect("cleanup");
 }
+
+#[test]
+fn dump_prints_provenance_topology_classes_and_rows() {
+    let dir = temp_dir("dump");
+    let corpus = Corpus::open(&dir).expect("corpus opens");
+    corpus.store(&tiny_set()).expect("store");
+    let out = exp_corpus(&["dump", "--dir", dir.to_str().unwrap()]);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for line in [
+        "== scenario \"cli test\" seed 7 build \"test\"",
+        "link l0 h0 -> h1",
+        "path p0 l0",
+        "class 0 p0",
+        "log 1 intervals x 1 paths, 0.1 s each, delay none",
+        "t 0 sent [12] lost [0]",
+    ] {
+        assert!(stdout.contains(line), "missing {line:?} in:\n{stdout}");
+    }
+    fs::remove_dir_all(&dir).expect("cleanup");
+}

@@ -51,8 +51,8 @@ use std::path::{Path, PathBuf};
 
 use nni_core::InferenceResult;
 use nni_measure::{
-    MeasurementLog, MeasurementSet, MeasurementSource, MergeError, SetKey, SourceError,
-    StreamError, StreamingLog, TailEvent,
+    json_escape, MeasurementLog, MeasurementSet, MeasurementSource, MergeError, SetKey,
+    SourceError, StreamError, StreamingLog, TailEvent,
 };
 use nni_scenario::{infer, InferenceConfig, Provenance, StreamingInference};
 use nni_topology::{PathId, Topology};
@@ -128,7 +128,7 @@ impl VerdictUpdate {
             "{{\"type\":\"update\",\"scenario\":\"{}\",\"fingerprint\":\"{:016x}\",\
              \"seed\":{},\"interval\":{},\"vantages\":{},\"nonneutral\":{},\
              \"result\":\"{:016x}\",\"mode\":\"{}\",\"degraded\":{}}}",
-            esc(&self.scenario),
+            json_escape(&self.scenario),
             self.scenario_fingerprint,
             self.seed,
             self.interval,
@@ -537,20 +537,6 @@ impl LiveMonitor {
         let &i = self.index.get(&key)?;
         Some(self.sessions[i].1.stream.closed())
     }
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

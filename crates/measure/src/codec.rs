@@ -285,7 +285,10 @@ pub fn decode(bytes: &[u8]) -> Result<MeasurementSet, CodecError> {
     if interval_s.is_nan() || interval_s <= 0.0 {
         return Err(CodecError::BadValue("non-positive interval"));
     }
-    let n_paths = r.len()?;
+    // A plain varint, not `len()`: an empty log carries no rows, so its
+    // path count may exceed the bytes left. The topology check below bounds
+    // it before anything is allocated.
+    let n_paths = r.vu()?;
     if n_paths == 0 {
         return Err(CodecError::BadValue("log with zero paths"));
     }
@@ -293,9 +296,10 @@ pub fn decode(bytes: &[u8]) -> Result<MeasurementSet, CodecError> {
     // the topology's path ids, so a width mismatch must be a decode error,
     // not a later panic. (The checksum only detects corruption — a
     // self-consistent but inconsistent stream passes it.)
-    if n_paths != topology.path_count() {
+    if n_paths != topology.path_count() as u64 {
         return Err(CodecError::BadValue("log path count != topology paths"));
     }
+    let n_paths = n_paths as usize;
     let n_intervals = r.len()?;
     let mut log = MeasurementLog::new(n_paths, interval_s);
     for t in 0..n_intervals {
@@ -426,7 +430,7 @@ fn expect_section(r: &mut WireReader<'_>, tag: u8) -> Result<(), CodecError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::dataset::Provenance;
     use nni_topology::TopologyBuilder;
@@ -466,13 +470,37 @@ mod tests {
         set
     }
 
+    /// Many paths over one link. With no intervals this is a segment
+    /// header's shape: the LOG path count exceeds the bytes that follow.
+    pub(crate) fn wide_set(paths: usize, intervals: usize) -> MeasurementSet {
+        let mut b = TopologyBuilder::new();
+        let h0 = b.host("h0");
+        let h1 = b.host("h1");
+        let l0 = b.link("l0", h0, h1).unwrap();
+        let mut log = MeasurementLog::new(paths, 0.1);
+        for p in 0..paths {
+            b.path(&format!("p{p}"), vec![l0]).unwrap();
+            for t in 0..intervals {
+                log.record_sent(t, PathId(p), (10 * t + p) as u64);
+                log.record_lost(t, PathId(p), (p % 2) as u64);
+            }
+        }
+        MeasurementSet {
+            topology: b.build(),
+            classes: vec![(0..paths).map(PathId).collect()],
+            log,
+            provenance: sample().provenance,
+        }
+    }
+
     #[test]
     fn round_trip_is_bit_identical() {
-        let set = sample();
-        let bytes = encode(&set);
-        let back = decode(&bytes).expect("decodes");
-        assert_eq!(set, back);
-        assert_eq!(set.fingerprint(), back.fingerprint());
+        for set in [sample(), wide_set(200, 0)] {
+            let bytes = encode(&set);
+            let back = decode(&bytes).expect("decodes");
+            assert_eq!(set, back);
+            assert_eq!(set.fingerprint(), back.fingerprint());
+        }
     }
 
     #[test]

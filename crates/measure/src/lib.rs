@@ -14,8 +14,9 @@
 //! * [`dataset`] — the acquisition/inference seam: [`MeasurementSet`] (the
 //!   serializable bundle inference consumes), the [`MeasurementSource`]
 //!   trait, and the [`MeasurementCache`].
-//! * [`codec`] / [`jsonl`] — the hand-rolled binary and JSON-lines
-//!   serializations of a measurement set (no serde; the tree is vendored).
+//! * [`codec`] — the hand-rolled binary serialization of a measurement set
+//!   (no serde; the tree is vendored). `exp_corpus dump` prints stored
+//!   sets as text; nothing parses that text back.
 //! * [`corpus`] — on-disk corpora of encoded sets ([`Corpus`],
 //!   [`CorpusEntry`]).
 //! * [`interval`] — the one measurement-interval binning rule, shared with
@@ -39,12 +40,13 @@
 //! * [`wire`] — the shared byte-level primitives every codec folds through
 //!   ([`WireWriter`]/[`WireReader`]) plus checksummed stream framing
 //!   ([`wire::write_frame`]/[`wire::read_frame`]) for the worker protocol.
+//! * [`json_escape`] — the one JSON string escaper behind every JSON line
+//!   the workspace writes (daemon verdicts, live updates, perf records).
 
 pub mod codec;
 pub mod corpus;
 pub mod dataset;
 pub mod interval;
-pub mod jsonl;
 pub mod normalize;
 pub mod observer;
 pub mod record;
@@ -79,3 +81,34 @@ pub use wire::{
     frame_bytes, frame_bytes_v1, read_frame, read_frame_v1, write_frame, FrameError, WireReader,
     WireWriter, FRAME_VERSION, FRAME_VERSION_V1, SYNC_MARKER,
 };
+
+/// Escapes `s` for use inside a JSON string literal: `"` and `\` are
+/// backslash-escaped, `\n` becomes `\n`, and every other control
+/// character becomes a `\u00XX` escape.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::json_escape;
+
+    #[test]
+    fn json_escape_covers_quotes_backslashes_and_control_characters() {
+        let raw = "a\"b\\c\nd\te\r 20% \u{e9}";
+        assert_eq!(
+            json_escape(raw),
+            "a\\\"b\\\\c\\nd\\u0009e\\u000d 20% \u{e9}"
+        );
+    }
+}

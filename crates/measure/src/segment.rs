@@ -832,6 +832,30 @@ mod tests {
     }
 
     #[test]
+    fn wide_segment_round_trips_header_and_rows() {
+        // More paths than the empty header log has bytes after its path
+        // count: the header must still decode.
+        let set = crate::codec::tests::wide_set(64, 3);
+        let path = temp_path("wide");
+        let mut w = SegmentWriter::create(&path, &set).unwrap();
+        w.append_intervals(&set.log, 0, 3).unwrap();
+
+        let mut f = SegmentFollower::open(&path);
+        let batch = f.poll().unwrap();
+        let header = batch.header().expect("wide header decodes");
+        assert_eq!(header.topology, set.topology);
+        assert_eq!(header.classes, set.classes);
+        assert_eq!(batch.rows().count(), 3);
+        for (t, (sent, lost)) in batch.rows().enumerate() {
+            for p in set.topology.path_ids() {
+                assert_eq!(sent[p.index()], set.log.sent(t, p));
+                assert_eq!(lost[p.index()], set.log.lost(t, p));
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn follower_tolerates_partial_trailing_chunk() {
         let set = sample_set(8);
         let path = temp_path("partial");

@@ -36,13 +36,13 @@
 use std::collections::VecDeque;
 use std::ffi::OsString;
 use std::io::Write;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use nni_emu::SimReport;
 use nni_measure::codec::CodecError;
@@ -73,24 +73,18 @@ pub const DEFAULT_BACKOFF_BASE_MS: u64 = 10;
 /// Default ceiling of the respawn backoff.
 pub const DEFAULT_BACKOFF_CAP_MS: u64 = 1_000;
 
-/// How long the pool waits for a spawned TCP-mode worker to connect back
-/// (or for a dial-out connection to a remote worker to establish) before
-/// calling the spawn failed.
+/// How long the pool waits for a dial-out connection to a remote worker
+/// to establish before calling the spawn failed.
 pub const DEFAULT_CONNECT_TIMEOUT_MS: u64 = 10_000;
 
 /// How the pool reaches its workers. The `NNIWJOB`/`NNIWRES` frame
 /// protocol — and every crash/hang/timeout semantic built on it — is
-/// byte-identical on all three transports; only the plumbing differs.
+/// byte-identical on both transports; only the plumbing differs.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum WorkerTransport {
     /// Frames over the spawned child's stdin/stdout pipes (the default).
     #[default]
     Stdio,
-    /// Connect-back TCP over loopback: the pool binds an ephemeral
-    /// `127.0.0.1` port per worker, spawns `nni-worker --connect <addr>`,
-    /// and accepts exactly that worker's connection. Killing the child
-    /// closes its socket, so hang/crash detection carries over unchanged.
-    Tcp,
     /// Dial out to already-running `nni-worker --listen` processes —
     /// possibly on other machines. The pool cannot kill a remote worker:
     /// on a hang it drops the connection (the worker's serve loop sees
@@ -315,29 +309,22 @@ impl ProcessExecutor {
         }
     }
 
-    /// Same pool, explicit worker transport (stdio pipes, connect-back
-    /// TCP, or dial-out to remote `--listen` workers).
+    /// Same pool, explicit worker transport (stdio pipes or dial-out to
+    /// remote `--listen` workers).
     pub fn with_transport(mut self, transport: WorkerTransport) -> ProcessExecutor {
         if let WorkerTransport::Remote(addrs) = &transport {
-            // One connection per pool thread: cap the pool at the number
-            // of addresses only if none were given (a misconfiguration
-            // that would otherwise spin on an empty modulus).
+            // Pool threads pick addresses round-robin: none is an error.
             assert!(!addrs.is_empty(), "remote transport needs addresses");
         }
         self.transport = transport;
         self
     }
 
-    /// Same pool, explicit connect/accept deadline for socket transports
+    /// Same pool, explicit dial-out deadline for the `Remote` transport
     /// (floored at one millisecond).
     pub fn with_connect_timeout(mut self, timeout: Duration) -> ProcessExecutor {
         self.connect_timeout = timeout.max(Duration::from_millis(1));
         self
-    }
-
-    /// The configured transport.
-    pub fn transport(&self) -> &WorkerTransport {
-        &self.transport
     }
 
     /// Same pool, explicit worker binary.
@@ -581,7 +568,6 @@ impl Executor for ProcessExecutor {
     fn describe(&self) -> String {
         match &self.transport {
             WorkerTransport::Stdio => format!("process({})", self.workers),
-            WorkerTransport::Tcp => format!("process_tcp({})", self.workers),
             WorkerTransport::Remote(addrs) => {
                 format!("process_remote({}x{})", self.workers, addrs.len())
             }
@@ -617,56 +603,44 @@ enum JobResult {
 /// write side of a TCP stream.
 enum WorkerIo {
     Stdio(ChildStdin),
-    Tcp(TcpStream),
+    Socket(TcpStream),
 }
 
 impl Write for WorkerIo {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         match self {
             WorkerIo::Stdio(s) => s.write(buf),
-            WorkerIo::Tcp(s) => s.write(buf),
+            WorkerIo::Socket(s) => s.write(buf),
         }
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
         match self {
             WorkerIo::Stdio(s) => s.flush(),
-            WorkerIo::Tcp(s) => s.flush(),
+            WorkerIo::Socket(s) => s.flush(),
         }
     }
 }
 
 impl WorkerIo {
-    /// Signals end-of-jobs to the worker. Dropping a `ChildStdin` closes
-    /// the pipe, but dropping a cloned `TcpStream` handle does not close
-    /// the socket — the read half still holds it — so TCP needs an
-    /// explicit write-side shutdown.
-    fn close(self) {
-        match self {
-            WorkerIo::Stdio(stdin) => drop(stdin),
-            WorkerIo::Tcp(stream) => {
-                let _ = stream.shutdown(Shutdown::Write);
-            }
-        }
-    }
-
-    /// Tears the whole connection down (post-crash/hang cleanup): for a
-    /// remote worker this is the only kill the pool has.
-    fn sever(self) {
-        match self {
-            WorkerIo::Stdio(stdin) => drop(stdin),
-            WorkerIo::Tcp(stream) => {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
+    /// Closes the job stream: `Shutdown::Write` signals end-of-jobs, and
+    /// `Shutdown::Both` tears the connection down after a crash or hang
+    /// (for a remote worker, the only kill the pool has). Dropping a
+    /// `ChildStdin` closes the pipe, but dropping a cloned `TcpStream`
+    /// handle does not close the socket — the read half still holds it —
+    /// so a socket needs an explicit shutdown.
+    fn close(self, how: Shutdown) {
+        if let WorkerIo::Socket(stream) = self {
+            let _ = stream.shutdown(how);
         }
     }
 }
 
-/// One live worker: a spawned subprocess (stdio or connect-back TCP) or a
-/// dialed-out connection to a remote `--listen` worker (no child to
-/// manage). Results are pulled by a dedicated reader thread and handed
-/// over a channel, so the parent can bound its wait (`recv_timeout`) and
-/// kill a hung worker instead of blocking forever.
+/// One live worker: a spawned stdio subprocess or a dialed-out connection
+/// to a remote `--listen` worker (no child to manage). Results are pulled
+/// by a dedicated reader thread and handed over a channel, so the parent
+/// can bound its wait (`recv_timeout`) and kill a hung worker instead of
+/// blocking forever.
 struct Worker {
     child: Option<Child>,
     io: WorkerIo,
@@ -678,102 +652,28 @@ impl Worker {
     /// Spawns (or dials) one worker per the executor's transport. `widx`
     /// picks the remote address round-robin in `Remote` mode.
     fn spawn_for(exec: &ProcessExecutor, widx: usize) -> Result<Worker, std::io::Error> {
-        match &exec.transport {
-            WorkerTransport::Stdio => Worker::spawn_stdio(&exec.worker_bin, &exec.envs),
-            WorkerTransport::Tcp => {
-                Worker::spawn_tcp(&exec.worker_bin, &exec.envs, exec.connect_timeout)
+        let (child, io, (results, reader)) = match &exec.transport {
+            WorkerTransport::Stdio => {
+                let mut child = Command::new(&exec.worker_bin)
+                    .stdin(Stdio::piped())
+                    .stdout(Stdio::piped())
+                    .envs(exec.envs.iter().map(|(k, v)| (k, v)))
+                    .spawn()?;
+                let stdin = child.stdin.take().expect("piped stdin");
+                let stdout = child.stdout.take().expect("piped stdout");
+                (Some(child), WorkerIo::Stdio(stdin), spawn_reader(stdout))
             }
             WorkerTransport::Remote(addrs) => {
-                Worker::dial(addrs[widx % addrs.len()], exec.connect_timeout)
-            }
-        }
-    }
-
-    fn spawn_stdio(bin: &Path, envs: &[(OsString, OsString)]) -> Result<Worker, std::io::Error> {
-        let mut cmd = Command::new(bin);
-        cmd.stdin(Stdio::piped()).stdout(Stdio::piped());
-        for (key, value) in envs {
-            cmd.env(key, value);
-        }
-        let mut child = cmd.spawn()?;
-        let stdin = child.stdin.take().expect("piped stdin");
-        let stdout = child.stdout.take().expect("piped stdout");
-        let (results, reader) = spawn_reader(stdout);
-        Ok(Worker {
-            child: Some(child),
-            io: WorkerIo::Stdio(stdin),
-            results,
-            reader,
-        })
-    }
-
-    /// Connect-back TCP: bind an ephemeral loopback port, hand it to the
-    /// worker via `--connect`, and accept with a deadline so a worker
-    /// that dies before connecting cannot wedge the pool.
-    fn spawn_tcp(
-        bin: &Path,
-        envs: &[(OsString, OsString)],
-        connect_timeout: Duration,
-    ) -> Result<Worker, std::io::Error> {
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        let addr = listener.local_addr()?;
-        let mut cmd = Command::new(bin);
-        cmd.arg("--connect")
-            .arg(addr.to_string())
-            .stdin(Stdio::null())
-            .stdout(Stdio::null());
-        for (key, value) in envs {
-            cmd.env(key, value);
-        }
-        let mut child = cmd.spawn()?;
-        listener.set_nonblocking(true)?;
-        let deadline = Instant::now() + connect_timeout;
-        let stream = loop {
-            match listener.accept() {
-                Ok((stream, _)) => break stream,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if let Ok(Some(status)) = child.try_wait() {
-                        return Err(std::io::Error::other(format!(
-                            "worker exited ({status}) before connecting back"
-                        )));
-                    }
-                    if Instant::now() >= deadline {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        return Err(std::io::Error::other(
-                            "worker did not connect back within the connect timeout",
-                        ));
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) => {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    return Err(e);
-                }
+                let addr = addrs[widx % addrs.len()];
+                let stream = TcpStream::connect_timeout(&addr, exec.connect_timeout)?;
+                let _ = stream.set_nodelay(true);
+                let write = stream.try_clone()?;
+                (None, WorkerIo::Socket(write), spawn_reader(stream))
             }
         };
-        stream.set_nonblocking(false)?;
-        let _ = stream.set_nodelay(true);
-        let write = stream.try_clone()?;
-        let (results, reader) = spawn_reader(stream);
         Ok(Worker {
-            child: Some(child),
-            io: WorkerIo::Tcp(write),
-            results,
-            reader,
-        })
-    }
-
-    /// Dial-out to a remote `--listen` worker.
-    fn dial(addr: SocketAddr, connect_timeout: Duration) -> Result<Worker, std::io::Error> {
-        let stream = TcpStream::connect_timeout(&addr, connect_timeout)?;
-        let _ = stream.set_nodelay(true);
-        let write = stream.try_clone()?;
-        let (results, reader) = spawn_reader(stream);
-        Ok(Worker {
-            child: None,
-            io: WorkerIo::Tcp(write),
+            child,
+            io,
             results,
             reader,
         })
@@ -824,7 +724,7 @@ impl Worker {
             results,
             reader,
         } = self;
-        io.close();
+        io.close(Shutdown::Write);
         if let Some(mut child) = child {
             let _ = child.wait();
         }
@@ -843,7 +743,7 @@ impl Worker {
             results,
             reader,
         } = self;
-        io.sever();
+        io.close(Shutdown::Both);
         if let Some(mut child) = child {
             let _ = child.kill();
             let _ = child.wait();

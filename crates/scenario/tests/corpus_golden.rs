@@ -2,7 +2,7 @@
 //!
 //! `corpus/golden/` (committed at the repo root) holds 3 identity-suite
 //! scenarios × 2 seeds, recorded with `exp_corpus record --dir corpus/golden
-//! --take 3 --seeds 3,11 --jsonl`. This test replays those *committed bytes*
+//! --take 3 --seeds 3,11`. This test replays those *committed bytes*
 //! through the current decoder and pins, per entry:
 //!
 //! * the decoded `MeasurementSet` fingerprint — the codec still reads old
@@ -10,15 +10,16 @@
 //!   format bumps it and keeps this decoder);
 //! * the `InferenceResult` fingerprint of `infer` over the decoded set
 //!   under the default config — inference over replayed measurements stays
-//!   stable across releases;
-//! * the JSON-lines sidecar parses to the *same* set as the binary entry.
+//!   stable across releases.
+//!
+//! `exp_corpus dump --dir corpus/golden` prints the same entries as text.
 //!
 //! If an intentional codec or inference change invalidates the values, run
 //! with `NNI_PRINT_CORPUS_GOLDEN=1` and paste the printed table — but think
 //! first: a mismatch here means previously recorded corpora now replay
 //! differently, which is exactly what this gate exists to catch.
 
-use nni_measure::{jsonl, Corpus, MeasurementSource};
+use nni_measure::{Corpus, MeasurementSource};
 use nni_scenario::{infer, InferenceConfig};
 
 fn golden_dir() -> std::path::PathBuf {
@@ -85,12 +86,6 @@ fn committed_corpus_replays_to_golden_fingerprints() {
             set.fingerprint(),
             result.fingerprint(),
         ));
-
-        // The human-readable sidecar describes the same measurements.
-        let sidecar = e.path().with_extension("jsonl");
-        let text = std::fs::read_to_string(&sidecar).expect("jsonl sidecar exists");
-        let parsed = jsonl::from_jsonl(&text).expect("jsonl sidecar parses");
-        assert_eq!(parsed, set, "sidecar of {} diverged", e.path().display());
     }
 
     if std::env::var("NNI_PRINT_CORPUS_GOLDEN").is_ok() {

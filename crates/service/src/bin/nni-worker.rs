@@ -1,15 +1,13 @@
 //! `nni-worker`: the subprocess half of the process executor. Speaks the
-//! framed `NNIWJOB`/`NNIWRES` protocol over one of three transports:
+//! framed `NNIWJOB`/`NNIWRES` protocol over one of two transports:
 //!
 //! * default — stdin/stdout pipes (spawned by the pool);
-//! * `--connect <addr>` — dial the pool's ephemeral loopback listener and
-//!   serve the connection (the pool's TCP mode spawns exactly this);
 //! * `--listen <addr>` — bind and serve connections as they arrive, one
 //!   thread per connection, printing `listening <bound-addr>` on stdout
 //!   so a supervisor (or a test) can bind port 0 and learn the port.
 //!
 //! In every mode a clean end-of-stream ends that stream's serve loop; any
-//! frame error — transport or decode — exits 1 (pipe modes) or drops the
+//! frame error — transport or decode — exits 1 (pipe mode) or drops the
 //! connection with a log line (`--listen`, which keeps serving others).
 
 use std::io::{stdin, stdout, BufReader, BufWriter, Write};
@@ -25,7 +23,7 @@ fn serve_stream(stream: TcpStream) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn usage() -> ! {
-    eprintln!("usage: nni-worker [--connect <addr> | --listen <addr>]");
+    eprintln!("usage: nni-worker [--listen <addr>]");
     std::process::exit(2);
 }
 
@@ -43,19 +41,6 @@ fn main() {
                     eprintln!("nni-worker: {e}");
                     std::process::exit(1);
                 }
-            }
-        }
-        [flag, addr] if flag == "--connect" => {
-            let stream = match TcpStream::connect(addr) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("nni-worker: connect {addr}: {e}");
-                    std::process::exit(1);
-                }
-            };
-            if let Err(e) = serve_stream(stream) {
-                eprintln!("nni-worker: {e}");
-                std::process::exit(1);
             }
         }
         [flag, addr] if flag == "--listen" => {

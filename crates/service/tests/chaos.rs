@@ -11,15 +11,21 @@
 //! environment, so these tests run in parallel with everything else.
 //!
 //! `NNI_FAULT_SEED` reseeds both the population and the plan (CI pins 42).
-//! The full storm runs twice — over stdio pipes and over loopback TCP —
-//! because fault classification must not depend on the transport.
+//! The full storm runs over stdio pipes. A second storm of the faults a
+//! worker survives (hangs, slow answers, bit flips) runs against a
+//! standalone `--listen` worker over the `Remote` socket transport, where
+//! the plan rides the worker's own environment and the pool's only remedy
+//! is to sever the connection and redial.
 
+use std::io::BufRead;
+use std::net::SocketAddr;
 use std::path::PathBuf;
+use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 use nni_scenario::{
-    Executor, FaultPlan, ProcessError, ProcessExecutor, Scenario, ScenarioGen, SerialExecutor,
-    WorkerFailure, FAULT_PLAN_ENV,
+    Executor, Fault, FaultPlan, ProcessError, ProcessExecutor, Scenario, ScenarioGen,
+    SerialExecutor, WorkerFailure, WorkerTransport, FAULT_PLAN_ENV,
 };
 use nni_service::{fault_token, reason_path_for, run_daemon, DaemonConfig, Spool};
 
@@ -146,16 +152,13 @@ fn clean_eof_mid_batch_is_distinguished_from_a_hang() {
     }
 }
 
-/// The full fault storm over one worker transport. The fault hooks live
-/// in the worker's serve loop, which reads and writes a generic stream —
-/// so every failure mode (torn frames, bit flips, crashes, hangs) must
-/// classify identically whether the frames cross pipes or a socket.
-fn storm(tag: &str, transport: nni_scenario::WorkerTransport) {
+#[test]
+fn chaos_population_is_bit_identical_and_quarantines_exactly_the_poison_set() {
     let scenarios = chaos_population();
     let refs: Vec<&Scenario> = scenarios.iter().collect();
 
     // The plan is known before the storm: predict the poison set.
-    let state = temp_dir(&format!("storm-state-{tag}"));
+    let state = temp_dir("storm-state-stdio");
     let plan = FaultPlan {
         crash_before: 0.12,
         crash_after: 0.12,
@@ -187,7 +190,6 @@ fn storm(tag: &str, transport: nni_scenario::WorkerTransport) {
 
     let exec = ProcessExecutor::new(4)
         .with_worker_bin(worker_bin())
-        .with_transport(transport)
         .with_max_attempts(6) // transients fire once: never quarantined
         .with_job_timeout(Duration::from_secs(10))
         .with_backoff(Duration::from_millis(5), Duration::from_millis(50))
@@ -222,14 +224,86 @@ fn storm(tag: &str, transport: nni_scenario::WorkerTransport) {
     std::fs::remove_dir_all(&state).unwrap();
 }
 
-#[test]
-fn chaos_population_is_bit_identical_and_quarantines_exactly_the_poison_set() {
-    storm("stdio", nni_scenario::WorkerTransport::Stdio);
+/// Spawns one standalone `nni-worker --listen 127.0.0.1:0` with `envs` in
+/// its own environment and parses the bound address off its announcement.
+fn listen_worker(envs: &[(&str, String)]) -> (Child, SocketAddr) {
+    let mut child = Command::new(worker_bin())
+        .args(["--listen", "127.0.0.1:0"])
+        .envs(envs.iter().map(|(k, v)| (k, v)))
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("listen worker spawns");
+    let stdout = child.stdout.take().expect("piped stdout");
+    let mut line = String::new();
+    std::io::BufReader::new(stdout)
+        .read_line(&mut line)
+        .expect("announcement line");
+    let addr = line
+        .strip_prefix("listening ")
+        .unwrap_or_else(|| panic!("bad announcement: {line:?}"))
+        .trim()
+        .parse()
+        .expect("announced address parses");
+    (child, addr)
 }
 
 #[test]
-fn chaos_storm_over_tcp_sockets_is_bit_identical_too() {
-    storm("tcp", nni_scenario::WorkerTransport::Tcp);
+fn remote_worker_faults_sever_redial_and_retry_exactly_the_predicted_set() {
+    // Crash faults stay out: an abort in a `--listen` worker would kill
+    // every connection it serves, not one job.
+    let scenarios = chaos_population();
+    let refs: Vec<&Scenario> = scenarios.iter().collect();
+    let state = temp_dir("remote-state");
+    let plan = FaultPlan {
+        bitflip: 0.15,
+        hang: 0.08,
+        hang_ms: 60_000,
+        slow: 0.15,
+        slow_ms: 25,
+        state: Some(state.clone()), // one-shot: every retry runs clean
+        ..FaultPlan::seeded(fault_seed())
+    };
+    let drawn = |fault: Fault| -> Vec<usize> {
+        (0..scenarios.len())
+            .filter(|&i| plan.transient(fault_token(&scenarios[i])) == Some(fault))
+            .collect()
+    };
+    let hangs = drawn(Fault::Hang);
+    let flips = drawn(Fault::BitFlip);
+    let slow = drawn(Fault::Slow);
+    if fault_seed() == 42 {
+        assert!(
+            !hangs.is_empty() && !flips.is_empty() && !slow.is_empty(),
+            "seed 42 must draw every fault kind: {hangs:?} {flips:?} {slow:?}"
+        );
+    }
+
+    let serial =
+        SerialExecutor.execute(&scenarios.iter().map(Scenario::compile).collect::<Vec<_>>());
+
+    let (mut child, addr) = listen_worker(&[(FAULT_PLAN_ENV, plan.to_env())]);
+    let outcome = ProcessExecutor::new(2)
+        .with_transport(WorkerTransport::Remote(vec![addr]))
+        .with_max_attempts(3)
+        .with_job_timeout(Duration::from_secs(10))
+        .with_backoff(Duration::from_millis(5), Duration::from_millis(50))
+        .try_batch(&refs);
+    let _ = child.kill();
+    let _ = child.wait();
+    let outcome = outcome.expect("the remote pool survives the faults");
+
+    let expected: Vec<_> = serial.into_iter().map(|o| Some(o.report)).collect();
+    assert!(
+        outcome.reports == expected,
+        "remote faults changed outcomes"
+    );
+    // Each hang and each bit flip costs exactly one severed connection and
+    // one retry; a slow answer is still an answer.
+    let stats = outcome.stats;
+    assert_eq!(stats.retries, hangs.len() + flips.len(), "{stats:?}");
+    assert_eq!(stats.respawns, stats.retries, "{stats:?}");
+    assert_eq!(stats.timeouts, hangs.len(), "{stats:?}");
+    std::fs::remove_dir_all(&state).unwrap();
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! The identity gate: for the same scenarios, the process executor's
 //! outcomes are bit-identical to the serial and sharded executors' —
 //! across the curated 14-scenario identity suite AND the 24-scenario
-//! randomized invariant population, over every worker transport (stdio
-//! pipes, TCP connect-back, and dial-out to `--listen` workers). This is
+//! randomized invariant population, over both worker transports (stdio
+//! pipes and dial-out to `--listen` workers over TCP sockets). This is
 //! the suite the dedicated `process-identity` and `socket-identity` CI
 //! jobs run (the latter filters on `socket`).
 //!
@@ -22,10 +22,6 @@ use nni_scenario::{
 
 fn process_pool(workers: usize) -> ProcessExecutor {
     ProcessExecutor::new(workers).with_worker_bin(env!("CARGO_BIN_EXE_nni-worker"))
-}
-
-fn tcp_pool(workers: usize) -> ProcessExecutor {
-    process_pool(workers).with_transport(WorkerTransport::Tcp)
 }
 
 /// Spawns one standalone `nni-worker --listen 127.0.0.1:0` and parses the
@@ -48,6 +44,28 @@ fn listen_worker() -> (Child, SocketAddr) {
         .parse()
         .expect("announced address parses");
     (child, addr)
+}
+
+/// Standalone `--listen` workers, killed and reaped on drop — also when an
+/// assertion fails, so no test leaks a process.
+struct ListenWorkers(Vec<Child>);
+
+impl Drop for ListenWorkers {
+    fn drop(&mut self) {
+        for child in &mut self.0 {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
+/// A dial-out pool with one connection to each of `workers` fresh
+/// `--listen` workers.
+fn remote_pool(workers: usize) -> (ProcessExecutor, ListenWorkers) {
+    let (children, addrs): (Vec<Child>, Vec<SocketAddr>) =
+        (0..workers).map(|_| listen_worker()).unzip();
+    let pool = ProcessExecutor::new(workers).with_transport(WorkerTransport::Remote(addrs));
+    (pool, ListenWorkers(children))
 }
 
 fn invariant_seed() -> u64 {
@@ -119,15 +137,17 @@ fn randomized_population_is_three_way_bit_identical() {
 #[test]
 fn identity_suite_is_bit_identical_over_tcp_sockets() {
     // The socket leg of the gate: same jobs, same answers, whether the
-    // frames cross stdio pipes or a loopback TCP connection.
+    // frames cross stdio pipes or a loopback TCP connection to `--listen`
+    // workers.
     let experiments: Vec<_> = identity_suite().iter().map(Scenario::compile).collect();
     let serial = SerialExecutor.execute(&experiments);
 
-    let (tcp, stats) = tcp_pool(2)
+    let (pool, _workers) = remote_pool(2);
+    let (remote, stats) = pool
         .try_execute(&experiments)
-        .expect("tcp batch succeeds");
+        .expect("remote batch succeeds");
     assert_eq!(
-        serial, tcp,
+        serial, remote,
         "socket-transport outcomes must be bit-identical to serial"
     );
     assert_eq!(
@@ -151,9 +171,10 @@ fn randomized_population_is_bit_identical_over_tcp_sockets() {
         })
         .collect();
     let serial = run_sets(&sets, &SerialExecutor);
-    let tcp = run_sets(&sets, &tcp_pool(2));
+    let (pool, _workers) = remote_pool(2);
+    let remote = run_sets(&sets, &pool);
     assert_eq!(
-        serial, tcp,
+        serial, remote,
         "socket sweep-set outcomes must be bit-identical to serial"
     );
 }
