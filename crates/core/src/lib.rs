@@ -17,6 +17,7 @@
 //! | §4.1 network slices, System 4 | [`slice`](mod@slice) |
 //! | §4.2 Lemmas 2–3 (identifiability) | [`identifiability`] |
 //! | §5 Algorithm 1 + redundancy removal | [`algorithm`] |
+//! | per-topology slice plans, shared across runs | [`plan_cache`] |
 //! | §5 FN / FP / granularity metrics | [`metrics`] |
 //! | observation sources (oracle vs measured) | [`obs`] |
 //! | joint loss+delay feature definitions (beyond the paper) | [`features`] |
@@ -50,6 +51,7 @@ pub mod metrics;
 pub mod obs;
 pub mod observability;
 pub mod perf;
+pub mod plan_cache;
 pub mod routing;
 pub mod slice;
 
@@ -66,5 +68,6 @@ pub use metrics::{evaluate, Quality};
 pub use obs::{ExactOracle, Observations};
 pub use observability::{theorem1, unsolvable_over_power_set, ObservabilityReport};
 pub use perf::{perf_from_prob, prob_from_perf, LinkPerf, NetworkPerf};
+pub use plan_cache::PlanCache;
 pub use routing::{neutral_predictions, routing_matrix};
 pub use slice::{enumerate_slices, normalization_group, slice_for, Slice};

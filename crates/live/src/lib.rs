@@ -49,7 +49,7 @@ pub use run::{run_live, RunConfig, RunError, RunStats, TailSource};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
-use nni_core::InferenceResult;
+use nni_core::{InferenceResult, PlanCache};
 use nni_measure::{
     json_escape, MeasurementLog, MeasurementSet, MeasurementSource, MergeError, SetKey,
     SourceError, StreamError, StreamingLog, TailEvent,
@@ -269,6 +269,8 @@ pub struct LiveMonitor {
     index: HashMap<SetKey, usize>,
     /// Segment file → the session it feeds.
     by_path: HashMap<PathBuf, SetKey>,
+    /// Slice plans shared by every session on one topology structure.
+    plans: PlanCache,
 }
 
 impl LiveMonitor {
@@ -279,7 +281,14 @@ impl LiveMonitor {
             sessions: Vec::new(),
             index: HashMap::new(),
             by_path: HashMap::new(),
+            plans: PlanCache::new(),
         }
+    }
+
+    /// Slice plans this monitor has built: sessions on one topology
+    /// structure share one.
+    pub fn plans_built(&self) -> usize {
+        self.plans.plans_built()
     }
 
     /// Sessions currently tracked.
@@ -453,17 +462,10 @@ impl LiveMonitor {
     }
 
     fn open_session(&mut self, key: SetKey, set: &MeasurementSet) -> usize {
-        let live = match self.cfg.window {
-            Some(w) => StreamingInference::windowed(
-                &set.topology,
-                set.provenance.seed,
-                &self.cfg.inference,
-                w,
-            ),
-            None => {
-                StreamingInference::new(&set.topology, set.provenance.seed, &self.cfg.inference)
-            }
-        };
+        let inference = &self.cfg.inference;
+        let plan = self.plans.plan(&set.topology, &inference.algorithm);
+        let live =
+            StreamingInference::with_plan(plan, set.provenance.seed, inference, self.cfg.window);
         let session = Session {
             topology: set.topology.clone(),
             classes: set.classes.clone(),
@@ -670,6 +672,17 @@ mod tests {
             Err(LiveError::VantageMismatch(key)) => assert_eq!(key, set.key()),
             other => panic!("expected a vantage mismatch, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn sessions_on_one_topology_share_one_plan() {
+        let mut monitor = LiveMonitor::new(LiveConfig::default());
+        for seed in [3, 5] {
+            monitor.ingest_set(recorded_set(seed)).unwrap();
+        }
+        assert_eq!(monitor.session_count(), 2);
+        assert_eq!(monitor.plans_built(), 1);
+        assert!(monitor.verify_batch().is_empty());
     }
 
     #[test]

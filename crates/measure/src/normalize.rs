@@ -15,6 +15,29 @@
 //! from flows of different sizes, but it produces loss *events* on all of
 //! them in the same intervals; comparing similarly sized aggregates under a
 //! frequency metric keeps those observations consistent (§6.5).
+//!
+//! ## Bitset layout
+//!
+//! Step 4 is an AND over indicator rows and step 5 a count, so the batch
+//! path (`GroupBits`, behind [`MeasuredObservations`]) keeps a group's
+//! indicators as `u64` words over intervals — interval `t` is bit `t % 64`
+//! of word `t / 64`:
+//!
+//! * one **informative** mask per group. Whether interval `t` carries
+//!   information is a *group-level* property: the column is all-`None`
+//!   exactly when the common budget `m` is 0, and every pathset of a slice
+//!   draws its members from that slice's group, so each pathset's
+//!   informative intervals are the group's;
+//! * one **congestion-free** row per member path (bit set iff the path's
+//!   discounted indicator is `Some(true)`).
+//!
+//! A pathset's counts are then `popcount(informative & row_a & row_b …)`
+//! over `popcount(informative)`. The words are filled straight from the
+//! per-`(seed, t, p)` columns, so they are bit-identical to the
+//! `Option<bool>` reference scan ([`group_indicators`] +
+//! [`pathset_cf_counts`]) by construction.
+//!
+//! [`MeasuredObservations`]: crate::MeasuredObservations
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -151,25 +174,44 @@ fn indicators_with_baselines(
     cfg: NormalizeConfig,
     baselines: &[Option<f64>],
 ) -> Vec<Option<bool>> {
-    INTERVAL_EVALS.fetch_add(1, Ordering::Relaxed);
     let mut col = vec![None; group.len()];
+    eval_column(log, group, t, cfg, baselines, |gi, cf| col[gi] = Some(cf));
+    col
+}
+
+/// Evaluates interval `t` for a group: returns `false` when the interval is
+/// uninformative (common budget 0), otherwise calls `put(gi, cf)` with
+/// every member's congestion-free indicator and returns `true`. The one
+/// place Algorithm 2 lines 4–15 are computed; counted by
+/// [`interval_eval_count`].
+fn eval_column(
+    log: &MeasurementLog,
+    group: &[PathId],
+    t: usize,
+    cfg: NormalizeConfig,
+    baselines: &[Option<f64>],
+    mut put: impl FnMut(usize, bool),
+) -> bool {
+    INTERVAL_EVALS.fetch_add(1, Ordering::Relaxed);
     let m = group.iter().map(|&p| log.sent(t, p)).min().unwrap_or(0);
     if m == 0 {
-        return col;
+        return false;
     }
     for (gi, &p) in group.iter().enumerate() {
         let sent = log.sent(t, p);
         let lost = log.lost(t, p).min(sent);
         // Deterministic per (seed, interval, path): independent of the
-        // order in which slices query the oracle.
-        let mut rng = StdRng::seed_from_u64(
-            cfg.seed
-                ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                ^ (p.index() as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F),
-        );
-        let retained_lost = if sent == m {
+        // order in which slices query the oracle. A draw over no lost
+        // packets, or over the whole budget, consumes no randomness, so
+        // the generator is only seeded when a draw can use it.
+        let retained_lost = if sent == m || lost == 0 {
             lost
         } else {
+            let mut rng = StdRng::seed_from_u64(
+                cfg.seed
+                    ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    ^ (p.index() as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F),
+            );
             hypergeometric(&mut rng, sent, lost, m)
         };
         // Algorithm 2 line 11: congestion-free iff lost fraction below
@@ -183,9 +225,74 @@ fn indicators_with_baselines(
                 cf = cf && !feature.inflated(stats.p90_s, baseline);
             }
         }
-        col[gi] = Some(cf);
+        put(gi, cf);
     }
-    col
+    true
+}
+
+/// A normalization group's indicators as interval bitsets (see the module
+/// docs): one informative mask and one congestion-free row per member,
+/// each `words` `u64`s long.
+#[derive(Debug)]
+pub(crate) struct GroupBits {
+    words: usize,
+    informative: Vec<u64>,
+    /// `popcount(informative)`, the denominator every pathset shares.
+    informative_count: usize,
+    /// Row-major: member `gi` owns `rows[gi * words..(gi + 1) * words]`.
+    rows: Vec<u64>,
+}
+
+impl GroupBits {
+    /// `(cf_intervals, informative_intervals)` of the pathset whose members
+    /// sit at `member_rows` — [`pathset_cf_counts`] over the same group.
+    pub(crate) fn counts(&self, member_rows: &[usize]) -> (usize, usize) {
+        assert!(!member_rows.is_empty(), "pathsets are non-empty");
+        let cf = (0..self.words)
+            .map(|w| {
+                member_rows
+                    .iter()
+                    .fold(self.informative[w], |acc, &r| {
+                        acc & self.rows[r * self.words + w]
+                    })
+                    .count_ones() as usize
+            })
+            .sum();
+        (cf, self.informative_count)
+    }
+}
+
+/// [`group_indicators`] as bitsets, filled column by column without
+/// materializing the `Option<bool>` rows. Costs the same
+/// [`interval_eval_count`] (one per interval).
+pub(crate) fn group_bits(
+    log: &MeasurementLog,
+    group: &[PathId],
+    cfg: NormalizeConfig,
+) -> GroupBits {
+    let t_max = log.interval_count();
+    let words = t_max.div_ceil(64);
+    let baselines = delay_baselines(log, group);
+    let mut informative = vec![0u64; words];
+    let mut rows = vec![0u64; words * group.len()];
+    for t in 0..t_max {
+        let (w, bit) = (t / 64, 1u64 << (t % 64));
+        let informed = eval_column(log, group, t, cfg, &baselines, |gi, cf| {
+            if cf {
+                rows[gi * words + w] |= bit;
+            }
+        });
+        if informed {
+            informative[w] |= bit;
+        }
+    }
+    let informative_count = informative.iter().map(|w| w.count_ones() as usize).sum();
+    GroupBits {
+        words,
+        informative,
+        informative_count,
+        rows,
+    }
 }
 
 /// The congestion-free probability of a *pathset* given the group

@@ -2,27 +2,33 @@
 //!
 //! Bridges a [`MeasurementLog`] to Algorithm 1: every slice queries the
 //! performance numbers of its pathsets in the normalization context of
-//! `Paths(τ)`; this type runs Algorithm 2 on demand and caches per-group
-//! indicator series (the discounting draw is deterministic per
+//! `Paths(τ)`; this type runs Algorithm 2 on demand and caches each
+//! group's indicators (the discounting draw is deterministic per
 //! `(seed, interval, path)`, so caching never changes results).
+//!
+//! The cached form is the interval bitset of the
+//! [`normalize`](crate::normalize) module docs: one informative mask per
+//! group — informative is a group-level property, since an interval is
+//! uninformative exactly when the group's common budget is 0 — and one
+//! congestion-free row per member path. A pathset's counts are a popcount
+//! of the AND of its members' rows with the mask, so
+//! [`observe_all`](Observations::observe_all) sorts the group once per
+//! slice and then scores every pathset without allocating.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-use crate::normalize::{group_indicators, pathset_cf_counts, perf_from_counts, NormalizeConfig};
+use crate::normalize::{group_bits, perf_from_counts, GroupBits, NormalizeConfig};
 use crate::record::MeasurementLog;
 use nni_core::Observations;
 use nni_topology::{PathId, PathSet};
-
-/// Per-path indicator rows, as produced by [`group_indicators`].
-type IndicatorRows = Vec<Vec<Option<bool>>>;
 
 /// Measured observation source.
 pub struct MeasuredObservations<'a> {
     log: &'a MeasurementLog,
     cfg: NormalizeConfig,
-    /// Cache: normalization group -> per-path indicator rows.
-    cache: RefCell<HashMap<Vec<PathId>, IndicatorRows>>,
+    /// Cache: sorted, deduplicated normalization group -> its bitsets.
+    cache: RefCell<HashMap<Vec<PathId>, GroupBits>>,
 }
 
 impl<'a> MeasuredObservations<'a> {
@@ -40,53 +46,56 @@ impl<'a> MeasuredObservations<'a> {
         self.cfg
     }
 
-    fn with_indicators<R>(&self, group: &[PathId], f: impl FnOnce(&[Vec<Option<bool>>]) -> R) -> R {
+    /// Runs `f` over `pathsets`' `(cf, informative)` counts in `group`,
+    /// sorting the group and fetching (or building) its bitsets once.
+    fn with_counts<R>(
+        &self,
+        group: &[PathId],
+        pathsets: &[PathSet],
+        f: impl FnMut((usize, usize)) -> R,
+    ) -> Vec<R> {
         let mut key: Vec<PathId> = group.to_vec();
-        key.sort();
+        key.sort_unstable();
         key.dedup();
         let mut cache = self.cache.borrow_mut();
-        let ind = cache
+        let bits = cache
             .entry(key.clone())
-            .or_insert_with(|| group_indicators(self.log, &key, self.cfg));
-        f(ind)
+            .or_insert_with(|| group_bits(self.log, &key, self.cfg));
+        let mut rows = Vec::new();
+        pathsets
+            .iter()
+            .map(|pathset| {
+                rows.clear();
+                rows.extend(pathset.paths().iter().map(|p| {
+                    key.binary_search(p)
+                        .expect("pathset members must belong to the normalization group")
+                }));
+                bits.counts(&rows)
+            })
+            .map(f)
+            .collect()
     }
 
     /// Congestion-free probability of a pathset under the group
     /// normalization (exposed for the experiment reports).
     pub fn pathset_cf_probability(&self, group: &[PathId], pathset: &PathSet) -> f64 {
-        self.with_indicators(group, |ind| {
-            let rows = Self::rows_of(group, pathset);
-            let (cf, total) = pathset_cf_counts(ind, &rows);
+        self.with_counts(group, std::slice::from_ref(pathset), |(cf, total)| {
             if total == 0 {
                 1.0
             } else {
                 cf as f64 / total as f64
             }
-        })
-    }
-
-    fn rows_of(group: &[PathId], pathset: &PathSet) -> Vec<usize> {
-        let mut key: Vec<PathId> = group.to_vec();
-        key.sort();
-        key.dedup();
-        pathset
-            .paths()
-            .iter()
-            .map(|p| {
-                key.binary_search(p)
-                    .expect("pathset members must belong to the normalization group")
-            })
-            .collect()
+        })[0]
     }
 }
 
 impl Observations for MeasuredObservations<'_> {
     fn pathset_perf(&self, group: &[PathId], pathset: &PathSet) -> f64 {
-        self.with_indicators(group, |ind| {
-            let rows = Self::rows_of(group, pathset);
-            let (cf, total) = pathset_cf_counts(ind, &rows);
-            perf_from_counts(cf, total)
-        })
+        self.observe_all(group, std::slice::from_ref(pathset))[0]
+    }
+
+    fn observe_all(&self, group: &[PathId], pathsets: &[PathSet]) -> Vec<f64> {
+        self.with_counts(group, pathsets, |(cf, total)| perf_from_counts(cf, total))
     }
 }
 
@@ -153,5 +162,24 @@ mod tests {
         let a = obs.pathset_perf(&group, &PathSet::single(PathId(0)));
         let b = obs.pathset_perf(&group, &PathSet::single(PathId(0)));
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn observe_all_equals_per_pathset_queries() {
+        let log = correlated_log();
+        let obs = MeasuredObservations::new(&log, NormalizeConfig::default());
+        let group = [PathId(2), PathId(0), PathId(1)];
+        let pathsets = [
+            PathSet::single(PathId(0)),
+            PathSet::single(PathId(2)),
+            PathSet::pair(PathId(0), PathId(1)),
+            PathSet::pair(PathId(1), PathId(2)),
+        ];
+        let fresh = MeasuredObservations::new(&log, NormalizeConfig::default());
+        let one_by_one: Vec<f64> = pathsets
+            .iter()
+            .map(|ps| fresh.pathset_perf(&group, ps))
+            .collect();
+        assert_eq!(obs.observe_all(&group, &pathsets), one_by_one);
     }
 }

@@ -1,10 +1,11 @@
 //! Property-based tests for Algorithm 2 (measurement processing).
 
+use nni_core::{DelayFeature, Observations};
 use nni_measure::{
-    group_indicators, hypergeometric, pathset_cf_counts, perf_from_counts, MeasurementLog,
-    NormalizeConfig,
+    group_indicators, hypergeometric, pathset_cf_counts, perf_from_counts, DelayStats,
+    MeasuredObservations, MeasurementLog, NormalizeConfig,
 };
-use nni_topology::PathId;
+use nni_topology::{PathId, PathSet};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -54,8 +55,92 @@ fn vantage_logs() -> impl Strategy<Value = (MeasurementLog, MeasurementLog, Meas
     })
 }
 
+/// Strategy: one bitset-identity case — a log over 2–5 paths whose
+/// interval count straddles the 64-bit word boundaries, with silent cells
+/// (so some intervals have no common budget) and a delay grid; a group
+/// given unsorted and with duplicates; and a config with the joint delay
+/// feature on or off.
+fn bitset_case() -> impl Strategy<Value = (MeasurementLog, Vec<PathId>, NormalizeConfig)> {
+    (
+        2usize..=5,
+        prop::sample::select(vec![1usize, 63, 64, 65, 200]),
+        prop::bool::ANY,
+        0u64..1000,
+    )
+        .prop_flat_map(|(paths, intervals, joint, seed)| {
+            (
+                prop::collection::vec(
+                    (0u64..6, 0u64..500, 0.0..0.3f64, 0u64..400),
+                    paths * intervals,
+                ),
+                prop::collection::vec(0usize..paths, 1..=2 * paths),
+            )
+                .prop_map(move |(cells, group)| {
+                    let mut log = MeasurementLog::new(paths, 0.1);
+                    let mut delay = vec![vec![None; paths]; intervals];
+                    for (idx, &(live, sent, loss_frac, delay_ms)) in cells.iter().enumerate() {
+                        let (t, p) = (idx / paths, idx % paths);
+                        // One cell in six is silent.
+                        let sent = if live == 0 { 0 } else { sent };
+                        log.record_sent(t, PathId(p), sent);
+                        log.record_lost(t, PathId(p), (sent as f64 * loss_frac) as u64);
+                        if sent > 0 && delay_ms > 0 {
+                            delay[t][p] = DelayStats::from_sorted_ns(&[delay_ms * 1_000_000]);
+                        }
+                    }
+                    log.set_delay(delay);
+                    let cfg = NormalizeConfig {
+                        loss_threshold: 0.01,
+                        seed,
+                        delay: joint.then(DelayFeature::default),
+                    };
+                    (log, group.into_iter().map(PathId).collect(), cfg)
+                })
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The bitset Algorithm 2 behind `observe_all` equals the reference
+    /// scan — `group_indicators` + `pathset_cf_counts` + `perf_from_counts`
+    /// over the sorted, deduplicated group — bit for bit, on every single
+    /// and pair pathset of the group.
+    #[test]
+    fn observe_all_matches_reference_scan((log, group, cfg) in bitset_case()) {
+        let mut key = group.clone();
+        key.sort();
+        key.dedup();
+        let mut pathsets: Vec<PathSet> = key.iter().map(|&p| PathSet::single(p)).collect();
+        for (i, &a) in key.iter().enumerate() {
+            for &b in &key[i + 1..] {
+                pathsets.push(PathSet::pair(a, b));
+            }
+        }
+        let ind = group_indicators(&log, &key, cfg);
+        let reference: Vec<(usize, usize)> = pathsets
+            .iter()
+            .map(|ps| {
+                let rows: Vec<usize> = ps
+                    .paths()
+                    .iter()
+                    .map(|p| key.binary_search(p).unwrap())
+                    .collect();
+                pathset_cf_counts(&ind, &rows)
+            })
+            .collect();
+
+        let obs = MeasuredObservations::new(&log, cfg);
+        let ys = obs.observe_all(&group, &pathsets);
+        prop_assert_eq!(ys.len(), pathsets.len());
+        for ((y, &(cf, total)), ps) in ys.iter().zip(&reference).zip(&pathsets) {
+            prop_assert_eq!(y.to_bits(), perf_from_counts(cf, total).to_bits());
+            prop_assert_eq!(y.to_bits(), obs.pathset_perf(&group, ps).to_bits());
+            let p = obs.pathset_cf_probability(&group, ps);
+            let want = if total == 0 { 1.0 } else { cf as f64 / total as f64 };
+            prop_assert_eq!(p.to_bits(), want.to_bits());
+        }
+    }
 
     /// Vantage merging is commutative: which collector reports first must
     /// not change the combined log.

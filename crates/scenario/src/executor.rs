@@ -12,6 +12,7 @@ use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use nni_core::PlanCache;
 use nni_measure::MeasurementSet;
 
 use crate::experiment::{Experiment, ExperimentOutcome};
@@ -20,7 +21,8 @@ use crate::spec::Scenario;
 /// Runs batches of compiled experiments.
 pub trait Executor {
     /// Runs every experiment end to end (simulate + infer + score) and
-    /// returns outcomes in input order.
+    /// returns outcomes in input order. One call shares one [`PlanCache`]
+    /// across its experiments.
     fn execute(&self, experiments: &[Experiment]) -> Vec<ExperimentOutcome>;
 
     /// Runs only the acquisition half of every experiment, returning the
@@ -39,7 +41,11 @@ pub struct SerialExecutor;
 
 impl Executor for SerialExecutor {
     fn execute(&self, experiments: &[Experiment]) -> Vec<ExperimentOutcome> {
-        experiments.iter().map(Experiment::run).collect()
+        let plans = PlanCache::new();
+        experiments
+            .iter()
+            .map(|e| e.outcome_from(e.emulate(), &plans))
+            .collect()
     }
 
     fn acquire(&self, experiments: &[Experiment]) -> Vec<MeasurementSet> {
@@ -87,8 +93,12 @@ impl ShardedExecutor {
 
 impl Executor for ShardedExecutor {
     fn execute(&self, experiments: &[Experiment]) -> Vec<ExperimentOutcome> {
-        sharded_map(self.workers, experiments.len(), |i| experiments[i].run())
-            .unwrap_or_else(|| SerialExecutor.execute(experiments))
+        let plans = PlanCache::new();
+        sharded_map(self.workers, experiments.len(), |i| {
+            let e = &experiments[i];
+            e.outcome_from(e.emulate(), &plans)
+        })
+        .unwrap_or_else(|| SerialExecutor.execute(experiments))
     }
 
     fn acquire(&self, experiments: &[Experiment]) -> Vec<MeasurementSet> {

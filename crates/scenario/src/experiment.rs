@@ -12,7 +12,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use nni_core::Quality;
+use nni_core::{PlanCache, Quality};
 use nni_emu::{
     background_route, link_params, measured_routes, LinkParams, Route, RouteId, SimConfig,
     SimReport, Simulator, TrafficSpec,
@@ -170,7 +170,7 @@ impl Experiment {
     /// Takes `&self` so executors can run the same compiled experiment from
     /// several workers; every invocation is deterministic in the scenario.
     pub fn run(&self) -> ExperimentOutcome {
-        self.outcome_from(self.emulate())
+        self.outcome_from(self.emulate(), &PlanCache::new())
     }
 
     /// The inference-and-scoring half of [`Experiment::run`] over an
@@ -179,8 +179,11 @@ impl Experiment {
     /// fused path produces (inference is deterministic in the report, so
     /// only the report ever crosses the process boundary).
     ///
+    /// The slice plan comes from `plans`: a batch over one topology
+    /// structure enumerates its slices once.
+    ///
     /// [`ProcessExecutor`]: crate::ProcessExecutor
-    pub fn outcome_from(&self, report: SimReport) -> ExperimentOutcome {
+    pub fn outcome_from(&self, report: SimReport, plans: &PlanCache) -> ExperimentOutcome {
         let s = &self.scenario;
         // The borrowing core of `infer_scored`: identical inference over
         // the same seam, without materializing (cloning) a MeasurementSet
@@ -191,6 +194,7 @@ impl Experiment {
             s.measurement.seed,
             &InferenceConfig::of(s),
             &s.expectation,
+            plans,
         );
         ExperimentOutcome {
             path_congestion: scored.path_congestion,

@@ -8,7 +8,7 @@
 //! `infer(decode(encode(simulate())))` is bit-identical to the fused path
 //! (gated by `tests/corpus_roundtrip.rs`).
 
-use nni_core::{evaluate, identify, Config, InferenceResult, Quality};
+use nni_core::{evaluate, identify_with_plan, Config, InferenceResult, PlanCache, Quality};
 use nni_measure::{MeasuredObservations, MeasurementSet, NormalizeConfig};
 
 use crate::spec::{Expectation, Scenario};
@@ -64,19 +64,29 @@ impl Default for InferenceConfig {
 ///
 /// Deterministic in `(set, cfg)`: the normalization draw is seeded from the
 /// set's provenance seed XOR the config's salt, exactly as the fused path
-/// seeds it.
+/// seeds it. Builds the set's slice plan for this one call; the batch
+/// entry points (executors, [`reinfer_sets`](crate::reinfer_sets), the
+/// spool daemon, the live monitor) share plans through a [`PlanCache`].
 pub fn infer(set: &MeasurementSet, cfg: &InferenceConfig) -> InferenceResult {
-    infer_parts(&set.topology, &set.log, set.provenance.seed, cfg)
+    infer_parts(
+        &set.topology,
+        &set.log,
+        set.provenance.seed,
+        cfg,
+        &PlanCache::new(),
+    )
 }
 
 /// The borrowing core of [`infer`] — shared with the fused
 /// [`Experiment::run`](crate::Experiment::run), which holds the pieces
 /// inside a `SimReport` and must not clone a measurement set per run.
+/// The slice plan comes from `plans`.
 pub(crate) fn infer_parts(
     topology: &nni_topology::Topology,
     log: &nni_measure::MeasurementLog,
     seed: u64,
     cfg: &InferenceConfig,
+    plans: &PlanCache,
 ) -> InferenceResult {
     let obs = MeasuredObservations::new(
         log,
@@ -86,7 +96,7 @@ pub(crate) fn infer_parts(
             delay: cfg.delay,
         },
     );
-    identify(topology, &obs, cfg.algorithm)
+    identify_with_plan(&plans.plan(topology, &cfg.algorithm), &obs, cfg.algorithm)
 }
 
 /// One re-inference product: everything [`ExperimentOutcome`] reports except
@@ -122,6 +132,7 @@ pub fn infer_scored(
         set.provenance.seed,
         cfg,
         expectation,
+        &PlanCache::new(),
     )
 }
 
@@ -132,12 +143,13 @@ pub(crate) fn infer_scored_parts(
     seed: u64,
     cfg: &InferenceConfig,
     expectation: &Expectation,
+    plans: &PlanCache,
 ) -> InferenceOutcome {
     let path_congestion: Vec<f64> = topology
         .path_ids()
         .map(|p| log.congestion_probability(p, cfg.loss_threshold))
         .collect();
-    let inference = infer_parts(topology, log, seed, cfg);
+    let inference = infer_parts(topology, log, seed, cfg, plans);
     let flagged_nonneutral = inference.network_is_nonneutral();
     let quality = evaluate(
         topology,

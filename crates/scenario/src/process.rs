@@ -44,6 +44,7 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Mutex;
 use std::time::Duration;
 
+use nni_core::PlanCache;
 use nni_emu::SimReport;
 use nni_measure::codec::CodecError;
 use nni_measure::wire::FrameError;
@@ -527,10 +528,11 @@ impl ProcessExecutor {
     ) -> Result<(Vec<ExperimentOutcome>, ProcessStats), ProcessError> {
         let scenarios: Vec<&Scenario> = experiments.iter().map(Experiment::scenario).collect();
         let (reports, stats) = self.try_reports(&scenarios)?;
+        let plans = PlanCache::new();
         let outcomes = experiments
             .iter()
             .zip(reports)
-            .map(|(exp, report)| exp.outcome_from(report))
+            .map(|(exp, report)| exp.outcome_from(report, &plans))
             .collect();
         Ok((outcomes, stats))
     }

@@ -19,6 +19,8 @@
 //! `infer` over the log truncated to `T` intervals — checkable, and
 //! checked by `tests/streaming_convergence.rs`.
 
+use std::sync::Arc;
+
 use nni_core::{identify_scores, IdentifyPlan, InferenceResult};
 use nni_measure::{MeasurementLog, MeasurementSet, NormalizeConfig, PathsetHandle, SlidingCounts};
 use nni_topology::Topology;
@@ -27,7 +29,9 @@ use crate::infer::InferenceConfig;
 
 /// Incremental Algorithm 1 + 2 over a growing measurement log.
 ///
-/// Construction precomputes the slice plan and registers every
+/// Construction takes the slice plan (built here, or shared from a
+/// [`PlanCache`](nni_core::PlanCache) through
+/// [`with_plan`](StreamingInference::with_plan)) and registers every
 /// normalization group and pathset with a [`SlidingCounts`]; each
 /// [`advance`](StreamingInference::advance) folds newly closed intervals
 /// into integer counters (one Algorithm 2 evaluation per group per
@@ -37,7 +41,7 @@ use crate::infer::InferenceConfig;
 #[derive(Debug, Clone)]
 pub struct StreamingInference {
     cfg: InferenceConfig,
-    plan: IdentifyPlan,
+    plan: Arc<IdentifyPlan>,
     counts: SlidingCounts,
     /// Per slice, per pathset — aligned with the plan's slice order and
     /// each slice's pathset order, exactly the `y` layout
@@ -49,7 +53,8 @@ impl StreamingInference {
     /// Full-history streaming state: verdicts converge to batch inference
     /// over the entire log.
     pub fn new(topology: &Topology, seed: u64, cfg: &InferenceConfig) -> StreamingInference {
-        StreamingInference::build(topology, seed, cfg, None)
+        let plan = Arc::new(IdentifyPlan::new(topology, &cfg.algorithm));
+        StreamingInference::with_plan(plan, seed, cfg, None)
     }
 
     /// Sliding-window variant: verdicts reflect only the last `window`
@@ -62,16 +67,21 @@ impl StreamingInference {
         cfg: &InferenceConfig,
         window: usize,
     ) -> StreamingInference {
-        StreamingInference::build(topology, seed, cfg, Some(window))
+        let plan = Arc::new(IdentifyPlan::new(topology, &cfg.algorithm));
+        StreamingInference::with_plan(plan, seed, cfg, Some(window))
     }
 
-    fn build(
-        topology: &Topology,
+    /// [`new`](StreamingInference::new) (`window` `None`) or
+    /// [`windowed`](StreamingInference::windowed) over a shared plan — how
+    /// sessions on one topology share a single slice enumeration. `plan`
+    /// must be the plan of the measured topology under
+    /// `cfg.algorithm.min_pairs`.
+    pub fn with_plan(
+        plan: Arc<IdentifyPlan>,
         seed: u64,
         cfg: &InferenceConfig,
         window: Option<usize>,
     ) -> StreamingInference {
-        let plan = IdentifyPlan::new(topology, &cfg.algorithm);
         // Streaming inference is loss-only by design: the joint indicator's
         // delay baseline is a min over the *whole* log (and per-interval
         // percentiles are order statistics, so they cannot be folded

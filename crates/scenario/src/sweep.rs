@@ -29,13 +29,14 @@
 //! assert_eq!(outcomes[0].tick, "20%");
 //! ```
 
+use nni_core::PlanCache;
 use nni_emu::{policer_at_fraction, CcFleet, ClassLabel, Differentiation};
 use nni_measure::MeasurementCache;
 use nni_topology::LinkId;
 
 use crate::executor::Executor;
 use crate::experiment::{Experiment, ExperimentOutcome};
-use crate::infer::{infer_scored, InferenceConfig, InferenceOutcome};
+use crate::infer::{infer_scored_parts, InferenceConfig, InferenceOutcome};
 use crate::spec::Scenario;
 
 /// One member of a sweep: the x-axis tick label and its scenario.
@@ -384,6 +385,7 @@ pub fn reinfer_sets(
     for set in executor.acquire(&missing) {
         cache.insert(set.key(), std::sync::Arc::new(set));
     }
+    let plans = PlanCache::new();
     sets.iter()
         .zip(&experiments)
         .map(|(set, exps)| {
@@ -394,10 +396,13 @@ pub fn reinfer_sets(
                     let data = cache.get(e.key()).expect("acquired above");
                     ReinferOutcome {
                         tick: m.tick.clone(),
-                        outcome: infer_scored(
-                            &data,
+                        outcome: infer_scored_parts(
+                            &data.topology,
+                            &data.log,
+                            data.provenance.seed,
                             &InferenceConfig::of(&m.scenario),
                             &m.scenario.expectation,
+                            &plans,
                         ),
                     }
                 })

@@ -35,6 +35,7 @@ use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use nni_core::PlanCache;
 use nni_measure::wire::FrameError;
 use nni_measure::{json_escape, Corpus, Fnv, MeasurementSet, RelaySource, SegmentWriter};
 use nni_scenario::fault::FaultPlan;
@@ -129,6 +130,10 @@ pub struct DaemonSummary {
     pub quarantined: usize,
     /// Jobs parked in `failed/` (undecodable or poison).
     pub parked: usize,
+    /// Slice plans the daemon's plan cache built: one per distinct
+    /// topology structure, plus a rebuild whenever more than
+    /// [`PlanCache::CAPACITY`] structures alternate.
+    pub plans_built: usize,
 }
 
 /// Why the daemon stopped.
@@ -278,6 +283,9 @@ pub fn run_daemon(cfg: &DaemonConfig) -> Result<DaemonSummary, ServiceError> {
         .map(|p| Duration::from_millis(p.spill_delay_ms))
         .unwrap_or(Duration::ZERO);
 
+    // One plan cache for the daemon's lifetime: jobs on a topology the
+    // daemon has seen reuse its slice enumeration.
+    let plans = PlanCache::new();
     let recovered = spool.recover()?;
     let mut summary = DaemonSummary {
         recovered: recovered.len(),
@@ -325,6 +333,7 @@ pub fn run_daemon(cfg: &DaemonConfig) -> Result<DaemonSummary, ServiceError> {
                 }
                 None => {
                     if cfg.drain || spool.drain_requested() {
+                        summary.plans_built = plans.plans_built();
                         return Ok(summary);
                     }
                     std::thread::sleep(Duration::from_millis(cfg.poll_ms.max(1)));
@@ -388,7 +397,7 @@ pub fn run_daemon(cfg: &DaemonConfig) -> Result<DaemonSummary, ServiceError> {
                 .to_os_string();
             match report {
                 Some(report) => {
-                    let outcome = exp.outcome_from(report);
+                    let outcome = exp.outcome_from(report, &plans);
                     let set = exp.package(outcome.report.log.clone());
                     if cfg.follow {
                         spill_segment(corpus.dir(), &set, spill_delay)?;

@@ -7,8 +7,10 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 
-use nni_measure::Corpus;
-use nni_scenario::library::{identity_suite, topology_a_scenario, ExperimentParams};
+use nni_measure::{json_escape, Corpus};
+use nni_scenario::library::{
+    identity_suite, topology_a_scenario, topology_b_scenario, ExperimentParams, TopologyBParams,
+};
 use nni_service::{reason_path_for, run_daemon, DaemonConfig, Spool};
 
 fn worker_bin() -> &'static str {
@@ -73,6 +75,55 @@ fn submitted_jobs_drain_into_corpus_and_verdicts() {
         assert!(
             line.starts_with('{') && line.ends_with('}'),
             "bad JSONL: {line}"
+        );
+    }
+    fs::remove_dir_all(&spool_dir).expect("cleanup");
+}
+
+#[test]
+fn a_drain_builds_one_plan_per_topology() {
+    let spool_dir = temp_spool_dir("plans");
+    let spool = Spool::open(&spool_dir).expect("spool opens");
+    let a = topology_a_scenario(ExperimentParams {
+        duration_s: 4.0,
+        ..ExperimentParams::default()
+    });
+    let b = topology_b_scenario(TopologyBParams {
+        duration_s: 4.0,
+        ..TopologyBParams::default()
+    });
+    let jobs: Vec<_> = [3u64, 5, 8]
+        .iter()
+        .flat_map(|&seed| [a.with_seed(seed), b.with_seed(seed)])
+        .collect();
+    for job in &jobs {
+        spool.submit(job).expect("submit");
+    }
+
+    let summary = run_daemon(&drain_config(&spool_dir)).expect("daemon drains");
+    assert_eq!(summary.jobs_done, jobs.len());
+    assert_eq!(
+        summary.plans_built, 2,
+        "one plan per topology, shared by its jobs"
+    );
+
+    // Sharing plans leaves every verdict line as a one-shot run writes it.
+    let verdicts = fs::read_to_string(spool.verdicts_path()).expect("verdicts exist");
+    for job in &jobs {
+        let out = job.run();
+        let tail = format!(
+            "\"scenario\":\"{}\",\"seed\":{},\"fingerprint\":\"{:016x}\",\
+             \"flagged\":{},\"correct\":{}}}",
+            json_escape(&job.name),
+            job.measurement.seed,
+            job.measurement_fingerprint(),
+            out.flagged_nonneutral,
+            out.correct,
+        );
+        assert_eq!(
+            verdicts.lines().filter(|l| l.ends_with(&tail)).count(),
+            1,
+            "no verdict line ends with {tail}"
         );
     }
     fs::remove_dir_all(&spool_dir).expect("cleanup");
