@@ -19,7 +19,7 @@
 //! * **a second vantage** for an identity already being watched (another
 //!   entry or segment with the same key) is merged on the fly:
 //!   [`MeasurementLog::merge`] sums the vantage logs cell-wise, the
-//!   session [`rebase`](StreamingInference::rebase)s its counters, and one
+//!   session [`rebase`](StreamingInference::rebase)s its bitsets, and one
 //!   `"rebase"` update carries the re-derived verdict — the exact
 //!   fallback, since merge rewrites frozen history;
 //! * **corrupt segment regions** degrade instead of killing the session:
@@ -71,7 +71,7 @@ pub struct LiveConfig {
 /// Whether an update extends frozen history or rewrites it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UpdateMode {
-    /// New closed intervals were folded into the counters in place.
+    /// New closed intervals were folded into the session in place.
     Incremental,
     /// A merge rewrote consumed intervals; the session rebased and
     /// replayed the merged log (the exact fallback).

@@ -8,7 +8,10 @@
 //! * [`normalize`] — Algorithm 2: per-interval discounting of every path's
 //!   packets to the normalization group's common budget (hypergeometric
 //!   retention draw), loss-threshold congestion-free indicators, and pathset
-//!   performance numbers `y_Θ = -ln P(Θ congestion-free)`.
+//!   performance numbers `y_Θ = -ln P(Θ congestion-free)`, counted over
+//!   [`GroupBits`] — growable per-group interval bitsets that batch and
+//!   streaming inference share (any interval range, so a sliding window is
+//!   a range).
 //! * [`observer`] — [`MeasuredObservations`], the measured implementation of
 //!   `nni_core::Observations` that Algorithm 1 consumes.
 //! * [`dataset`] — the acquisition/inference seam: [`MeasurementSet`] (the
@@ -21,9 +24,9 @@
 //!   [`CorpusEntry`]).
 //! * [`interval`] — the one measurement-interval binning rule, shared with
 //!   the emulator's cached interval index.
-//! * [`stream`] — streaming acquisition: [`StreamingLog`] (closed-interval
-//!   watermark) and [`SlidingCounts`] (incremental Algorithm 2 counters,
-//!   optional sliding window).
+//! * [`stream`] — streaming acquisition: [`StreamingLog`], a log with a
+//!   closed-interval watermark; consumers fold the closed prefix into
+//!   [`GroupBits`] one interval at a time.
 //! * [`segment`] — the append-friendly `.nniseg` on-disk segment format
 //!   ([`SegmentWriter`]/[`SegmentFollower`]): a codec-v1 header chunk plus
 //!   checksummed interval chunks, readable while being written, with
@@ -64,8 +67,8 @@ pub use dataset::{
     SourceError,
 };
 pub use normalize::{
-    delay_baselines, group_indicators, hypergeometric, interval_eval_count, interval_indicators,
-    pathset_cf_counts, perf_from_counts, NormalizeConfig,
+    group_indicators, hypergeometric, interval_eval_count, pathset_cf_counts, perf_from_counts,
+    GroupBits, NormalizeConfig,
 };
 pub use observer::MeasuredObservations;
 pub use record::{DelayStats, MeasurementLog, MergeError};
@@ -75,7 +78,7 @@ pub use segment::{
     SegmentWriter, MAX_CHUNK_BYTES, SEGMENT_EXT, VERSION as SEGMENT_VERSION,
     VERSION_V1 as SEGMENT_VERSION_V1,
 };
-pub use stream::{PathsetHandle, SlidingCounts, StreamError, StreamingLog};
+pub use stream::{StreamError, StreamingLog};
 pub use tail::{CorpusTail, TailEvent};
 pub use wire::{
     frame_bytes, frame_bytes_v1, read_frame, read_frame_v1, write_frame, FrameError, WireReader,

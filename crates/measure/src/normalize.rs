@@ -18,10 +18,10 @@
 //!
 //! ## Bitset layout
 //!
-//! Step 4 is an AND over indicator rows and step 5 a count, so the batch
-//! path (`GroupBits`, behind [`MeasuredObservations`]) keeps a group's
-//! indicators as `u64` words over intervals — interval `t` is bit `t % 64`
-//! of word `t / 64`:
+//! Step 4 is an AND over indicator rows and step 5 a count, so
+//! [`GroupBits`] — the one counter behind batch [`MeasuredObservations`]
+//! and streaming inference — keeps a group's indicators as `u64` words
+//! over intervals. Interval `t` is bit `t % 64` of word `t / 64`:
 //!
 //! * one **informative** mask per group. Whether interval `t` carries
 //!   information is a *group-level* property: the column is all-`None`
@@ -31,14 +31,22 @@
 //! * one **congestion-free** row per member path (bit set iff the path's
 //!   discounted indicator is `Some(true)`).
 //!
-//! A pathset's counts are then `popcount(informative & row_a & row_b …)`
-//! over `popcount(informative)`. The words are filled straight from the
-//! per-`(seed, t, p)` columns, so they are bit-identical to the
+//! The words are stored word-major — word `w` of every member sits
+//! together — so folding interval `t` at most appends one word per row.
+//! A pathset's counts over an interval range `lo..hi` are
+//! `popcount(informative & row_a & row_b …)` over `popcount(informative)`,
+//! with the end words masked where the range splits them: batch counts
+//! `0..T` once; a stream keeps running totals, adding each newly closed
+//! range and subtracting the range that aged out of a window of `W`, so
+//! at watermark `T` its totals are the counts of `0..T` (or `T - W..T`)
+//! at a per-update cost independent of `T`. The words are filled straight
+//! from the per-`(seed, t, p)` columns, so they are bit-identical to the
 //! `Option<bool>` reference scan ([`group_indicators`] +
 //! [`pathset_cf_counts`]) by construction.
 //!
 //! [`MeasuredObservations`]: crate::MeasuredObservations
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::rngs::StdRng;
@@ -54,7 +62,7 @@ use nni_topology::PathId;
 /// path does asymptotically less work, independent of wall-clock noise.
 static INTERVAL_EVALS: AtomicU64 = AtomicU64::new(0);
 
-/// Total [`interval_indicators`] evaluations since process start
+/// Total per-(group, interval) evaluations since process start
 /// (monotonic; probe by delta).
 pub fn interval_eval_count() -> u64 {
     INTERVAL_EVALS.load(Ordering::Relaxed)
@@ -120,13 +128,13 @@ impl Default for NormalizeConfig {
 /// The per-path delay baselines of a group (min per-interval p50, see
 /// [`MeasurementLog::delay_baseline`]), in group order. All-`None` when the
 /// log has no delay grid.
-pub fn delay_baselines(log: &MeasurementLog, group: &[PathId]) -> Vec<Option<f64>> {
+fn delay_baselines(log: &MeasurementLog, group: &[PathId]) -> Vec<Option<f64>> {
     group.iter().map(|&p| log.delay_baseline(p)).collect()
 }
 
 /// Per-interval congestion-free indicators `S[t][{p}]` for each path of a
 /// normalization group, after discounting to the group's common packet
-/// budget.
+/// budget — the `Option<bool>` reference form of [`GroupBits`].
 ///
 /// Intervals in which some group path sent nothing carry no information
 /// (the common budget is zero) and are marked `None`.
@@ -141,7 +149,8 @@ pub fn group_indicators(
     let baselines = delay_baselines(log, group);
     let mut out = vec![Vec::with_capacity(t_max); group.len()];
     for t in 0..t_max {
-        let col = indicators_with_baselines(log, group, t, cfg, &baselines);
+        let mut col = vec![None; group.len()];
+        eval_column(log, group, t, cfg, &baselines, |gi, cf| col[gi] = Some(cf));
         for (row, s) in out.iter_mut().zip(col) {
             row.push(s);
         }
@@ -149,41 +158,16 @@ pub fn group_indicators(
     out
 }
 
-/// One interval's congestion-free indicators for a normalization group —
-/// the column `S[t][·]` of [`group_indicators`], computable the moment
-/// interval `t` closes.
-///
-/// The discounting draw is seeded per `(seed, interval, path)`, so the
-/// indicator of a closed interval never depends on which intervals exist
-/// around it: computing columns one at a time as a stream closes them
-/// yields bit-identical indicators to a batch pass over the finished log.
-pub fn interval_indicators(
-    log: &MeasurementLog,
-    group: &[PathId],
-    t: usize,
-    cfg: NormalizeConfig,
-) -> Vec<Option<bool>> {
-    let baselines = delay_baselines(log, group);
-    indicators_with_baselines(log, group, t, cfg, &baselines)
-}
-
-fn indicators_with_baselines(
-    log: &MeasurementLog,
-    group: &[PathId],
-    t: usize,
-    cfg: NormalizeConfig,
-    baselines: &[Option<f64>],
-) -> Vec<Option<bool>> {
-    let mut col = vec![None; group.len()];
-    eval_column(log, group, t, cfg, baselines, |gi, cf| col[gi] = Some(cf));
-    col
-}
-
 /// Evaluates interval `t` for a group: returns `false` when the interval is
 /// uninformative (common budget 0), otherwise calls `put(gi, cf)` with
 /// every member's congestion-free indicator and returns `true`. The one
 /// place Algorithm 2 lines 4–15 are computed; counted by
 /// [`interval_eval_count`].
+///
+/// The discounting draw is seeded per `(seed, interval, path)`, so a closed
+/// interval's column never depends on which intervals exist around it:
+/// evaluating columns one at a time as a stream closes them yields the
+/// same indicators as a batch pass over the finished log.
 fn eval_column(
     log: &MeasurementLog,
     group: &[PathId],
@@ -230,68 +214,156 @@ fn eval_column(
     true
 }
 
-/// A normalization group's indicators as interval bitsets (see the module
-/// docs): one informative mask and one congestion-free row per member,
-/// each `words` `u64`s long.
-#[derive(Debug)]
-pub(crate) struct GroupBits {
-    words: usize,
+/// A normalization group's congestion-free indicators as growable
+/// interval bitsets (see the module docs): the one Algorithm 2 counter
+/// behind batch [`MeasuredObservations`] and streaming inference.
+///
+/// The group is kept sorted and deduplicated — the canonical key under
+/// which the discounting draws are shared. [`extend`](GroupBits::extend)
+/// folds closed intervals in order, each evaluated exactly once;
+/// [`informative`](GroupBits::informative) and
+/// [`congestion_free`](GroupBits::congestion_free) count any interval
+/// range, so a sliding window is a range `consumed - W..consumed`.
+///
+/// [`MeasuredObservations`]: crate::MeasuredObservations
+#[derive(Debug, Clone)]
+pub struct GroupBits {
+    paths: Vec<PathId>,
+    /// The one configuration every fold uses: bits folded under different
+    /// configurations would not count anything.
+    cfg: NormalizeConfig,
+    /// Intervals folded so far.
+    len: usize,
     informative: Vec<u64>,
-    /// `popcount(informative)`, the denominator every pathset shares.
-    informative_count: usize,
-    /// Row-major: member `gi` owns `rows[gi * words..(gi + 1) * words]`.
+    /// Word-major: word `w` of member `gi` is `rows[w * paths.len() + gi]`,
+    /// so folding a new word is an append.
     rows: Vec<u64>,
 }
 
 impl GroupBits {
-    /// `(cf_intervals, informative_intervals)` of the pathset whose members
-    /// sit at `member_rows` — [`pathset_cf_counts`] over the same group.
-    pub(crate) fn counts(&self, member_rows: &[usize]) -> (usize, usize) {
-        assert!(!member_rows.is_empty(), "pathsets are non-empty");
-        let cf = (0..self.words)
-            .map(|w| {
-                member_rows
-                    .iter()
-                    .fold(self.informative[w], |acc, &r| {
-                        acc & self.rows[r * self.words + w]
-                    })
-                    .count_ones() as usize
-            })
-            .sum();
-        (cf, self.informative_count)
-    }
-}
-
-/// [`group_indicators`] as bitsets, filled column by column without
-/// materializing the `Option<bool>` rows. Costs the same
-/// [`interval_eval_count`] (one per interval).
-pub(crate) fn group_bits(
-    log: &MeasurementLog,
-    group: &[PathId],
-    cfg: NormalizeConfig,
-) -> GroupBits {
-    let t_max = log.interval_count();
-    let words = t_max.div_ceil(64);
-    let baselines = delay_baselines(log, group);
-    let mut informative = vec![0u64; words];
-    let mut rows = vec![0u64; words * group.len()];
-    for t in 0..t_max {
-        let (w, bit) = (t / 64, 1u64 << (t % 64));
-        let informed = eval_column(log, group, t, cfg, &baselines, |gi, cf| {
-            if cf {
-                rows[gi * words + w] |= bit;
-            }
-        });
-        if informed {
-            informative[w] |= bit;
+    /// Empty bitsets for `group` (sorted and deduplicated here), folded
+    /// under `cfg`.
+    pub fn new(group: &[PathId], cfg: NormalizeConfig) -> GroupBits {
+        let mut paths = group.to_vec();
+        paths.sort_unstable();
+        paths.dedup();
+        GroupBits {
+            paths,
+            cfg,
+            len: 0,
+            informative: Vec::new(),
+            rows: Vec::new(),
         }
     }
-    let informative_count = informative.iter().map(|w| w.count_ones() as usize).sum();
-    GroupBits {
-        words,
-        informative,
-        informative_count,
-        rows,
+
+    /// The group's paths, sorted and deduplicated: row `r` is `paths()[r]`.
+    pub fn paths(&self) -> &[PathId] {
+        &self.paths
+    }
+
+    /// Intervals folded so far.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no interval has been folded.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The row of member path `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `p` is not in the group.
+    pub fn row(&self, p: PathId) -> usize {
+        self.paths
+            .binary_search(&p)
+            .expect("pathset members must belong to the normalization group")
+    }
+
+    /// Folds intervals `len()..through` of `log`, one [`interval_eval_count`]
+    /// each. The joint delay feature reads baselines over the whole `log`
+    /// as it stands, so only a finished log gives the batch result there.
+    pub fn extend(&mut self, log: &MeasurementLog, through: usize) {
+        assert!(
+            through <= log.interval_count(),
+            "cannot fold past the recorded log"
+        );
+        let cfg = self.cfg;
+        let baselines = match cfg.delay {
+            Some(_) => delay_baselines(log, &self.paths),
+            None => Vec::new(),
+        };
+        let members = self.paths.len();
+        for t in self.len..through {
+            let (w, bit) = (t / 64, 1u64 << (t % 64));
+            if w == self.informative.len() {
+                self.informative.push(0);
+                self.rows.resize(self.rows.len() + members, 0);
+            }
+            let row = &mut self.rows[w * members..(w + 1) * members];
+            if eval_column(log, &self.paths, t, cfg, &baselines, |gi, cf| {
+                if cf {
+                    row[gi] |= bit;
+                }
+            }) {
+                self.informative[w] |= bit;
+            }
+        }
+        self.len = self.len.max(through);
+    }
+
+    /// Forgets every folded interval (keeping the allocation).
+    pub fn clear(&mut self) {
+        self.len = 0;
+        self.informative.clear();
+        self.rows.clear();
+    }
+
+    /// Informative intervals in `range` — the denominator every pathset of
+    /// the group shares.
+    pub fn informative(&self, range: Range<usize>) -> usize {
+        self.count(&[], range)
+    }
+
+    /// Intervals in `range` in which every member at `member_rows` was
+    /// congestion-free — [`pathset_cf_counts`]'s numerator over the same
+    /// group.
+    pub fn congestion_free(&self, member_rows: &[usize], range: Range<usize>) -> usize {
+        assert!(!member_rows.is_empty(), "pathsets are non-empty");
+        self.count(member_rows, range)
+    }
+
+    /// `popcount(informative & row_a & row_b …)` over `range`, whose ends
+    /// may split a word.
+    fn count(&self, member_rows: &[usize], range: Range<usize>) -> usize {
+        assert!(
+            range.start <= range.end && range.end <= self.len,
+            "range {range:?} outside the {} folded intervals",
+            self.len
+        );
+        if range.is_empty() {
+            return 0;
+        }
+        let members = self.paths.len();
+        let (first, last) = (range.start / 64, (range.end - 1) / 64);
+        (first..=last)
+            .map(|w| {
+                let mut mask = self.informative[w];
+                if w == first {
+                    mask &= !0 << (range.start % 64);
+                }
+                if w == last {
+                    mask &= !0 >> (63 - (range.end - 1) % 64);
+                }
+                let row = &self.rows[w * members..(w + 1) * members];
+                member_rows
+                    .iter()
+                    .fold(mask, |acc, &r| acc & row[r])
+                    .count_ones() as usize
+            })
+            .sum()
     }
 }
 

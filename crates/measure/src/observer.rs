@@ -6,19 +6,17 @@
 //! group's indicators (the discounting draw is deterministic per
 //! `(seed, interval, path)`, so caching never changes results).
 //!
-//! The cached form is the interval bitset of the
-//! [`normalize`](crate::normalize) module docs: one informative mask per
-//! group — informative is a group-level property, since an interval is
-//! uninformative exactly when the group's common budget is 0 — and one
-//! congestion-free row per member path. A pathset's counts are a popcount
-//! of the AND of its members' rows with the mask, so
+//! The cached form is a [`GroupBits`] per group (see the
+//! [`normalize`](crate::normalize) module docs): one informative mask per
+//! group and one congestion-free row per member path. A pathset's counts
+//! are a popcount of the AND of its members' rows with the mask, so
 //! [`observe_all`](Observations::observe_all) sorts the group once per
 //! slice and then scores every pathset without allocating.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-use crate::normalize::{group_bits, perf_from_counts, GroupBits, NormalizeConfig};
+use crate::normalize::{perf_from_counts, GroupBits, NormalizeConfig};
 use crate::record::MeasurementLog;
 use nni_core::Observations;
 use nni_topology::{PathId, PathSet};
@@ -54,23 +52,23 @@ impl<'a> MeasuredObservations<'a> {
         pathsets: &[PathSet],
         f: impl FnMut((usize, usize)) -> R,
     ) -> Vec<R> {
-        let mut key: Vec<PathId> = group.to_vec();
-        key.sort_unstable();
-        key.dedup();
+        // `GroupBits` sorts and deduplicates the group: its paths are the
+        // cache key.
+        let mut fresh = GroupBits::new(group, self.cfg);
         let mut cache = self.cache.borrow_mut();
-        let bits = cache
-            .entry(key.clone())
-            .or_insert_with(|| group_bits(self.log, &key, self.cfg));
+        let bits = cache.entry(fresh.paths().to_vec()).or_insert_with(|| {
+            fresh.extend(self.log, self.log.interval_count());
+            fresh
+        });
+        let all = 0..bits.len();
+        let informative = bits.informative(all.clone());
         let mut rows = Vec::new();
         pathsets
             .iter()
             .map(|pathset| {
                 rows.clear();
-                rows.extend(pathset.paths().iter().map(|p| {
-                    key.binary_search(p)
-                        .expect("pathset members must belong to the normalization group")
-                }));
-                bits.counts(&rows)
+                rows.extend(pathset.paths().iter().map(|&p| bits.row(p)));
+                (bits.congestion_free(&rows, all.clone()), informative)
             })
             .map(f)
             .collect()

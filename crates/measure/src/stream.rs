@@ -1,29 +1,26 @@
-//! Streaming measurement state: interval-at-a-time acquisition
-//! ([`StreamingLog`]) and the incremental half of Algorithm 2
-//! ([`SlidingCounts`]).
+//! Streaming acquisition: [`StreamingLog`], a measurement log with a
+//! closed-interval watermark.
 //!
 //! The batch pipeline recomputes every per-interval indicator each time it
 //! infers; over a growing log of `T` intervals that is `O(T²)` indicator
 //! work. Streaming exploits two determinisms instead:
 //!
 //! * the discounting draw is seeded per `(seed, interval, path)` — a closed
-//!   interval's indicator column never changes as later intervals arrive
-//!   (see [`interval_indicators`]);
+//!   interval's indicator column never changes as later intervals arrive;
 //! * the performance number is a pure function of two *integers* — the
 //!   congestion-free and informative interval counts
-//!   ([`perf_from_counts`]).
+//!   ([`perf_from_counts`](crate::perf_from_counts)).
 //!
-//! So [`SlidingCounts`] folds each closed interval into per-pathset integer
-//! counters exactly once, and every verdict derived from those counters is
-//! bit-identical to batch inference over the same closed prefix. An
-//! optional sliding window bounds the counters to the last `W` intervals by
-//! remembering one 2-bit outcome per interval per pathset.
+//! So a consumer folds each closed interval below the watermark into a
+//! [`GroupBits`](crate::GroupBits) exactly once
+//! ([`extend`](crate::GroupBits::extend)) and counts interval ranges of it
+//! — the newly closed one, and the one that aged out of a window of the
+//! last `W` intervals — with the same popcount batch inference uses; every
+//! verdict derived from those counts is bit-identical to batch inference
+//! over the same closed prefix.
 
-use std::collections::{HashMap, VecDeque};
-
-use crate::normalize::{interval_indicators, perf_from_counts, NormalizeConfig};
 use crate::record::MeasurementLog;
-use nni_topology::{PathId, PathSet};
+use nni_topology::PathId;
 
 /// Why a streaming append was refused.
 #[derive(Debug, Clone, PartialEq)]
@@ -192,219 +189,11 @@ impl StreamingLog {
     }
 }
 
-/// Opaque handle to a registered pathset (group index + set index).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PathsetHandle {
-    group: usize,
-    set: usize,
-}
-
-/// Per-interval outcome of a pathset, packed for the window ring.
-const OUT_UNINFORMATIVE: u8 = 0;
-const OUT_CONGESTED: u8 = 1;
-const OUT_CF: u8 = 2;
-
-#[derive(Debug, Clone)]
-struct SetState {
-    /// Member rows into the group's (sorted, deduplicated) path list.
-    rows: Vec<usize>,
-    cf: usize,
-    informative: usize,
-    /// Per-interval outcomes, kept only in windowed mode (eviction needs
-    /// to know what each expiring interval contributed).
-    history: VecDeque<u8>,
-}
-
-#[derive(Debug, Clone)]
-struct GroupState {
-    /// Sorted, deduplicated — the same canonical key
-    /// `MeasuredObservations` caches under, so the discounting draws match.
-    paths: Vec<PathId>,
-    sets: Vec<SetState>,
-}
-
-/// The incremental half of Algorithm 2: per-pathset congestion-free and
-/// informative interval counters, folded forward one closed interval at a
-/// time.
-///
-/// Register every normalization group and pathset the caller will query,
-/// then [`advance`](SlidingCounts::advance) over closed intervals as they
-/// arrive; [`perf`](SlidingCounts::perf) is at all times exactly
-/// [`perf_from_counts`] of the accumulated integers — bit-identical to a
-/// batch pass over the same prefix (unwindowed), or over the last `W`
-/// intervals (windowed).
-#[derive(Debug, Clone)]
-pub struct SlidingCounts {
-    cfg: NormalizeConfig,
-    window: Option<usize>,
-    groups: Vec<GroupState>,
-    index: HashMap<Vec<PathId>, usize>,
-    consumed: usize,
-}
-
-impl SlidingCounts {
-    /// Unwindowed counts: counters cover every consumed interval, so the
-    /// derived verdict equals batch inference over the full closed prefix.
-    pub fn new(cfg: NormalizeConfig) -> SlidingCounts {
-        SlidingCounts {
-            cfg,
-            window: None,
-            groups: Vec::new(),
-            index: HashMap::new(),
-            consumed: 0,
-        }
-    }
-
-    /// Sliding-window counts over the last `window` intervals.
-    pub fn with_window(cfg: NormalizeConfig, window: usize) -> SlidingCounts {
-        assert!(window > 0, "window must be non-empty");
-        SlidingCounts {
-            window: Some(window),
-            ..SlidingCounts::new(cfg)
-        }
-    }
-
-    /// The active window, if any.
-    pub fn window(&self) -> Option<usize> {
-        self.window
-    }
-
-    /// Intervals consumed so far.
-    pub fn consumed(&self) -> usize {
-        self.consumed
-    }
-
-    /// Registers a normalization group (deduplicated by canonical path
-    /// list) and returns its id for pathset registration.
-    pub fn register_group(&mut self, group: &[PathId]) -> usize {
-        let mut paths = group.to_vec();
-        paths.sort();
-        paths.dedup();
-        if let Some(&id) = self.index.get(&paths) {
-            return id;
-        }
-        assert_eq!(self.consumed, 0, "register groups before advancing");
-        let id = self.groups.len();
-        self.index.insert(paths.clone(), id);
-        self.groups.push(GroupState {
-            paths,
-            sets: Vec::new(),
-        });
-        id
-    }
-
-    /// Registers a pathset under a group; all members must belong to the
-    /// group.
-    pub fn register_pathset(&mut self, group: usize, pathset: &PathSet) -> PathsetHandle {
-        assert_eq!(self.consumed, 0, "register pathsets before advancing");
-        let g = &mut self.groups[group];
-        let rows: Vec<usize> = pathset
-            .paths()
-            .iter()
-            .map(|p| {
-                g.paths
-                    .binary_search(p)
-                    .expect("pathset members must belong to the normalization group")
-            })
-            .collect();
-        assert!(!rows.is_empty(), "pathsets are non-empty");
-        let set = g.sets.len();
-        g.sets.push(SetState {
-            rows,
-            cf: 0,
-            informative: 0,
-            history: VecDeque::new(),
-        });
-        PathsetHandle { group, set }
-    }
-
-    /// Folds closed intervals `consumed..through` of `log` into the
-    /// counters. Each interval is evaluated once per registered group —
-    /// the incremental work unit the speedup gate counts.
-    pub fn advance(&mut self, log: &MeasurementLog, through: usize) {
-        assert!(
-            through <= log.interval_count(),
-            "cannot advance past the recorded log"
-        );
-        assert!(through >= self.consumed, "the closed prefix only grows");
-        for t in self.consumed..through {
-            for g in &mut self.groups {
-                let col = interval_indicators(log, &g.paths, t, self.cfg);
-                for s in &mut g.sets {
-                    let states: Option<Vec<bool>> = s.rows.iter().map(|&r| col[r]).collect();
-                    let outcome = match states {
-                        None => OUT_UNINFORMATIVE,
-                        Some(v) if v.iter().all(|&b| b) => OUT_CF,
-                        Some(_) => OUT_CONGESTED,
-                    };
-                    s.apply(outcome);
-                    if let Some(w) = self.window {
-                        s.history.push_back(outcome);
-                        while s.history.len() > w {
-                            let old = s.history.pop_front().expect("non-empty history");
-                            s.retract(old);
-                        }
-                    }
-                }
-            }
-        }
-        self.consumed = through;
-    }
-
-    /// Congestion-free / informative counts of a pathset (over the window,
-    /// or everything consumed).
-    pub fn counts(&self, h: PathsetHandle) -> (usize, usize) {
-        let s = &self.groups[h.group].sets[h.set];
-        (s.cf, s.informative)
-    }
-
-    /// The performance number `y = -ln P(congestion-free)` of a pathset —
-    /// exactly [`perf_from_counts`] over [`counts`](SlidingCounts::counts).
-    pub fn perf(&self, h: PathsetHandle) -> f64 {
-        let (cf, informative) = self.counts(h);
-        perf_from_counts(cf, informative)
-    }
-
-    /// Forgets every consumed interval but keeps the registered structure —
-    /// the exact-fallback reset used when a multi-vantage merge rewrites
-    /// history (merged counts in frozen intervals changed, so the stream
-    /// re-advances from zero over the merged log).
-    pub fn rebase(&mut self) {
-        self.consumed = 0;
-        for g in &mut self.groups {
-            for s in &mut g.sets {
-                s.cf = 0;
-                s.informative = 0;
-                s.history.clear();
-            }
-        }
-    }
-}
-
-impl SetState {
-    fn apply(&mut self, outcome: u8) {
-        if outcome != OUT_UNINFORMATIVE {
-            self.informative += 1;
-        }
-        if outcome == OUT_CF {
-            self.cf += 1;
-        }
-    }
-
-    fn retract(&mut self, outcome: u8) {
-        if outcome != OUT_UNINFORMATIVE {
-            self.informative -= 1;
-        }
-        if outcome == OUT_CF {
-            self.cf -= 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::normalize::{group_indicators, pathset_cf_counts};
+    use crate::normalize::{group_indicators, pathset_cf_counts, GroupBits};
+    use crate::NormalizeConfig;
 
     fn lossy_log(t_max: usize) -> MeasurementLog {
         let mut log = MeasurementLog::new(3, 0.1);
@@ -428,57 +217,59 @@ mod tests {
         log
     }
 
+    /// `(congestion_free, informative)` of the members `rows` over `range`.
+    fn counts(bits: &GroupBits, rows: &[usize], range: std::ops::Range<usize>) -> (usize, usize) {
+        (
+            bits.congestion_free(rows, range.clone()),
+            bits.informative(range),
+        )
+    }
+
     #[test]
     fn incremental_counts_match_batch() {
         let log = lossy_log(40);
         let cfg = NormalizeConfig::default();
         let group = [PathId(0), PathId(1), PathId(2)];
-        let sets = [
-            PathSet::single(PathId(0)),
-            PathSet::pair(PathId(0), PathId(1)),
-            PathSet::new(vec![PathId(0), PathId(1), PathId(2)]),
-        ];
+        let sets: [&[usize]; 3] = [&[0], &[0, 1], &[0, 1, 2]];
 
-        let mut inc = SlidingCounts::new(cfg);
-        let gid = inc.register_group(&group);
-        let handles: Vec<PathsetHandle> =
-            sets.iter().map(|s| inc.register_pathset(gid, s)).collect();
-
+        let mut inc = GroupBits::new(&group, cfg);
         let batch_ind = group_indicators(&log, &group, cfg);
-        // Advance one interval at a time; at every prefix the counts match
-        // a batch recount of that prefix.
+        // Fold one interval at a time; at every prefix the counts match a
+        // batch recount of that prefix.
         for through in 0..=log.interval_count() {
-            inc.advance(&log, through);
-            for (set, &h) in sets.iter().zip(&handles) {
-                let rows: Vec<usize> = set.paths().iter().map(|p| p.index()).collect();
+            inc.extend(&log, through);
+            assert_eq!(inc.len(), through);
+            for rows in sets {
                 let truncated: Vec<Vec<Option<bool>>> = batch_ind
                     .iter()
                     .map(|row| row[..through].to_vec())
                     .collect();
-                let want = pathset_cf_counts(&truncated, &rows);
-                assert_eq!(inc.counts(h), want, "prefix {through}");
-                assert_eq!(inc.perf(h), perf_from_counts(want.0, want.1));
+                let want = pathset_cf_counts(&truncated, rows);
+                assert_eq!(counts(&inc, rows, 0..through), want, "prefix {through}");
             }
         }
     }
 
     #[test]
     fn windowed_counts_cover_last_w_intervals() {
-        let log = lossy_log(50);
+        let log = lossy_log(150);
         let cfg = NormalizeConfig::default();
         let group = [PathId(0), PathId(1)];
-        let w = 12;
-        let mut inc = SlidingCounts::with_window(cfg, w);
-        let gid = inc.register_group(&group);
-        let h = inc.register_pathset(gid, &PathSet::pair(PathId(0), PathId(1)));
         let ind = group_indicators(&log, &group, cfg);
-        for through in 1..=log.interval_count() {
-            inc.advance(&log, through);
-            let lo = through.saturating_sub(w);
-            let windowed: Vec<Vec<Option<bool>>> =
-                ind.iter().map(|row| row[lo..through].to_vec()).collect();
-            let want = pathset_cf_counts(&windowed, &[0, 1]);
-            assert_eq!(inc.counts(h), want, "window ending at {through}");
+        for w in [12, 63, 64, 65] {
+            let mut inc = GroupBits::new(&group, cfg);
+            for through in 1..=log.interval_count() {
+                inc.extend(&log, through);
+                let lo = through.saturating_sub(w);
+                let windowed: Vec<Vec<Option<bool>>> =
+                    ind.iter().map(|row| row[lo..through].to_vec()).collect();
+                let want = pathset_cf_counts(&windowed, &[0, 1]);
+                assert_eq!(
+                    counts(&inc, &[0, 1], lo..through),
+                    want,
+                    "window {w} ending at {through}"
+                );
+            }
         }
     }
 
@@ -492,27 +283,29 @@ mod tests {
         }
         let cfg = NormalizeConfig::default();
         let group = [PathId(0), PathId(1), PathId(2)];
-        let mut inc = SlidingCounts::new(cfg);
-        let gid = inc.register_group(&group);
-        let h = inc.register_pathset(gid, &PathSet::single(PathId(1)));
-        inc.advance(&a, a.interval_count());
+        let mut inc = GroupBits::new(&group, cfg);
+        inc.extend(&a, a.interval_count());
+        let row = inc.row(PathId(1));
 
-        // Second vantage arrives: merged history invalidates the counters.
+        // Second vantage arrives: merged history invalidates the bitsets.
         a.merge(&b).unwrap();
-        inc.rebase();
-        inc.advance(&a, a.interval_count());
+        inc.clear();
+        assert!(inc.is_empty());
+        inc.extend(&a, a.interval_count());
 
         let ind = group_indicators(&a, &group, cfg);
         let want = pathset_cf_counts(&ind, &[1]);
-        assert_eq!(inc.counts(h), want);
+        assert_eq!(counts(&inc, &[row], 0..a.interval_count()), want);
     }
 
     #[test]
     fn group_registration_deduplicates() {
-        let mut inc = SlidingCounts::new(NormalizeConfig::default());
-        let a = inc.register_group(&[PathId(1), PathId(0), PathId(1)]);
-        let b = inc.register_group(&[PathId(0), PathId(1)]);
-        assert_eq!(a, b);
+        let cfg = NormalizeConfig::default();
+        let a = GroupBits::new(&[PathId(1), PathId(0), PathId(1)], cfg);
+        let b = GroupBits::new(&[PathId(0), PathId(1)], cfg);
+        assert_eq!(a.paths(), b.paths());
+        assert_eq!(a.paths(), &[PathId(0), PathId(1)]);
+        assert_eq!(a.row(PathId(1)), 1);
     }
 
     #[test]

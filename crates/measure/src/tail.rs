@@ -77,6 +77,29 @@ pub enum TailEvent {
     },
 }
 
+impl TailEvent {
+    /// The event a follower `item` of the segment at `path` surfaces as —
+    /// one mapping for local ([`CorpusTail`]) and remote
+    /// ([`RemoteTail`](crate::RemoteTail)) tails.
+    pub(crate) fn from_segment(path: &Path, item: SegmentItem) -> TailEvent {
+        let path = path.to_path_buf();
+        match item {
+            SegmentItem::Header(set) => TailEvent::SegmentHeader { path, set: *set },
+            SegmentItem::Intervals { first_t, rows } => TailEvent::SegmentIntervals {
+                path,
+                first_t,
+                rows,
+            },
+            SegmentItem::Gap(gap) => TailEvent::SegmentGap {
+                path,
+                from_interval: gap.from_interval,
+                to_interval: gap.to_interval,
+                bytes_skipped: gap.bytes_skipped,
+            },
+        }
+    }
+}
+
 /// Poll-based watcher over one corpus directory.
 #[derive(Debug)]
 pub struct CorpusTail {
@@ -184,29 +207,12 @@ impl CorpusTail {
             // still terminal and lands in the `Err` arm below.
             .or_insert_with(|| SegmentFollower::open(&path).with_resync(true));
         match follower.poll() {
-            Ok(batch) => {
-                for item in batch.items {
-                    match item {
-                        SegmentItem::Header(set) => events.push(TailEvent::SegmentHeader {
-                            path: path.clone(),
-                            set: *set,
-                        }),
-                        SegmentItem::Intervals { first_t, rows } => {
-                            events.push(TailEvent::SegmentIntervals {
-                                path: path.clone(),
-                                first_t,
-                                rows,
-                            })
-                        }
-                        SegmentItem::Gap(gap) => events.push(TailEvent::SegmentGap {
-                            path: path.clone(),
-                            from_interval: gap.from_interval,
-                            to_interval: gap.to_interval,
-                            bytes_skipped: gap.bytes_skipped,
-                        }),
-                    }
-                }
-            }
+            Ok(batch) => events.extend(
+                batch
+                    .items
+                    .into_iter()
+                    .map(|item| TailEvent::from_segment(&path, item)),
+            ),
             Err(e) => {
                 self.followers.remove(&path);
                 self.done.insert(path.clone());

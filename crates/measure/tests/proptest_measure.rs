@@ -2,7 +2,7 @@
 
 use nni_core::{DelayFeature, Observations};
 use nni_measure::{
-    group_indicators, hypergeometric, pathset_cf_counts, perf_from_counts, DelayStats,
+    group_indicators, hypergeometric, pathset_cf_counts, perf_from_counts, DelayStats, GroupBits,
     MeasuredObservations, MeasurementLog, NormalizeConfig,
 };
 use nni_topology::{PathId, PathSet};
@@ -58,16 +58,23 @@ fn vantage_logs() -> impl Strategy<Value = (MeasurementLog, MeasurementLog, Meas
 /// Strategy: one bitset-identity case — a log over 2–5 paths whose
 /// interval count straddles the 64-bit word boundaries, with silent cells
 /// (so some intervals have no common budget) and a delay grid; a group
-/// given unsorted and with duplicates; and a config with the joint delay
-/// feature on or off.
-fn bitset_case() -> impl Strategy<Value = (MeasurementLog, Vec<PathId>, NormalizeConfig)> {
+/// given unsorted and with duplicates; a config with the joint delay
+/// feature on or off; and a sliding-window width (the word edges 63, 64
+/// and 65, or any width up to the longest log).
+fn bitset_case() -> impl Strategy<Value = (MeasurementLog, Vec<PathId>, NormalizeConfig, usize)> {
     (
         2usize..=5,
         prop::sample::select(vec![1usize, 63, 64, 65, 200]),
         prop::bool::ANY,
         0u64..1000,
+        (
+            prop::bool::ANY,
+            prop::sample::select(vec![63usize, 64, 65]),
+            1usize..=200,
+        )
+            .prop_map(|(edge, at_edge, any)| if edge { at_edge } else { any }),
     )
-        .prop_flat_map(|(paths, intervals, joint, seed)| {
+        .prop_flat_map(|(paths, intervals, joint, seed, window)| {
             (
                 prop::collection::vec(
                     (0u64..6, 0u64..500, 0.0..0.3f64, 0u64..400),
@@ -94,7 +101,7 @@ fn bitset_case() -> impl Strategy<Value = (MeasurementLog, Vec<PathId>, Normaliz
                         seed,
                         delay: joint.then(DelayFeature::default),
                     };
-                    (log, group.into_iter().map(PathId).collect(), cfg)
+                    (log, group.into_iter().map(PathId).collect(), cfg, window)
                 })
         })
 }
@@ -105,9 +112,12 @@ proptest! {
     /// The bitset Algorithm 2 behind `observe_all` equals the reference
     /// scan — `group_indicators` + `pathset_cf_counts` + `perf_from_counts`
     /// over the sorted, deduplicated group — bit for bit, on every single
-    /// and pair pathset of the group.
+    /// and pair pathset of the group. Folded one interval at a time after
+    /// a `clear` (the streaming rebase), `GroupBits` range counts equal the
+    /// reference over the truncated rows at every prefix, both over the
+    /// whole prefix and over its last `window` intervals.
     #[test]
-    fn observe_all_matches_reference_scan((log, group, cfg) in bitset_case()) {
+    fn observe_all_matches_reference_scan((log, group, cfg, window) in bitset_case()) {
         let mut key = group.clone();
         key.sort();
         key.dedup();
@@ -118,16 +128,18 @@ proptest! {
             }
         }
         let ind = group_indicators(&log, &key, cfg);
-        let reference: Vec<(usize, usize)> = pathsets
+        let member_rows: Vec<Vec<usize>> = pathsets
             .iter()
             .map(|ps| {
-                let rows: Vec<usize> = ps
-                    .paths()
+                ps.paths()
                     .iter()
                     .map(|p| key.binary_search(p).unwrap())
-                    .collect();
-                pathset_cf_counts(&ind, &rows)
+                    .collect()
             })
+            .collect();
+        let reference: Vec<(usize, usize)> = member_rows
+            .iter()
+            .map(|rows| pathset_cf_counts(&ind, rows))
             .collect();
 
         let obs = MeasuredObservations::new(&log, cfg);
@@ -139,6 +151,33 @@ proptest! {
             let p = obs.pathset_cf_probability(&group, ps);
             let want = if total == 0 { 1.0 } else { cf as f64 / total as f64 };
             prop_assert_eq!(p.to_bits(), want.to_bits());
+        }
+
+        // `full` holds every interval, so its counts below also mask the
+        // range's upper end; `bits` is folded one interval at a time.
+        let t_max = log.interval_count();
+        let mut full = GroupBits::new(&group, cfg);
+        prop_assert_eq!(full.paths(), &key[..]);
+        full.extend(&log, t_max);
+        let mut bits = full.clone();
+        bits.clear();
+        for through in 0..=t_max {
+            bits.extend(&log, through);
+            prop_assert_eq!(bits.len(), through);
+            for lo in [0, through.saturating_sub(window)] {
+                let truncated: Vec<Vec<Option<bool>>> =
+                    ind.iter().map(|row| row[lo..through].to_vec()).collect();
+                for rows in &member_rows {
+                    let want = pathset_cf_counts(&truncated, rows);
+                    for b in [&bits, &full] {
+                        let got = (
+                            b.congestion_free(rows, lo..through),
+                            b.informative(lo..through),
+                        );
+                        prop_assert_eq!(got, want, "range {}..{}", lo, through);
+                    }
+                }
+            }
         }
     }
 

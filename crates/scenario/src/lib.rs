@@ -18,8 +18,8 @@
 //!   on-disk [`Corpus`], or cached in a [`MeasurementCache`]) under an
 //!   [`InferenceConfig`].
 //! * [`stream`](mod@stream) — online inference: [`StreamingInference`]
-//!   re-clusters on every closed interval from incremental Algorithm 2
-//!   counters, and [`infer_incremental`] converges bit-identically to
+//!   re-clusters on every closed interval from the same Algorithm 2
+//!   interval bitsets batch inference counts, and [`infer_incremental`] converges bit-identically to
 //!   [`infer()`] (the streaming guarantee, gated by
 //!   `tests/streaming_convergence.rs` in `nni-live`).
 //! * [`executor`] — [`SerialExecutor`] and [`ShardedExecutor`]: independent
