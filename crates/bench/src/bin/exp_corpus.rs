@@ -28,7 +28,7 @@
 
 use nni_bench::Table;
 use nni_core::DecisionMode;
-use nni_measure::{Corpus, MeasurementSet, MeasurementSource};
+use nni_measure::{Corpus, CorpusEntry, MeasurementSet};
 use nni_scenario::library::identity_suite;
 use nni_scenario::{infer, InferenceConfig, SerialExecutor};
 
@@ -137,7 +137,7 @@ fn record(args: &Args) {
             .entries()
             .expect("list corpus")
             .iter()
-            .map(MeasurementSource::key)
+            .map(CorpusEntry::key)
             .collect();
         for set in &sets {
             if existing.contains(&set.key()) {

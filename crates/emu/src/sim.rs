@@ -47,10 +47,9 @@ use crate::tcp::{CcKind, CongestionControl, RttEstimator};
 use crate::time::{tx_time, SimTime};
 use crate::traffic::TrafficSpec;
 use crate::window::{OooWindow, SendTimes};
-// The interval binning rule and its ULP-walked boundary inversion are shared
-// with `MeasurementLog::interval_of` — one rule, one place
-// (`nni_measure::interval`), so a boundary timestamp can never bin
-// differently in the emulator and the log.
+// The interval binning rule and its ULP-walked boundary inversion live in one
+// place (`nni_measure::interval`), so a boundary timestamp can never bin
+// differently in seconds and in nanoseconds.
 use nni_measure::interval::{interval_boundary_ns, interval_index};
 use nni_measure::{DelayStats, MeasurementLog};
 use nni_topology::LinkId;

@@ -14,7 +14,7 @@
 //! ```text
 //! {"type":"update","scenario":"…","fingerprint":"…","seed":3,
 //!  "interval":17,"vantages":1,"nonneutral":true,"result":"…",
-//!  "mode":"incremental"}
+//!  "mode":"incremental","degraded":false}
 //! ```
 //!
 //! `--connect <addr>` follows a daemon's live `.nniseg` traffic over TCP
@@ -71,7 +71,13 @@ fn main() {
             "--connect" => connect = Some(parse::<String>("--connect", args.next())),
             "--out" => out = Some(parse::<PathBuf>("--out", args.next())),
             "--poll-ms" => poll_ms = parse("--poll-ms", args.next()),
-            "--window" => window = Some(parse("--window", args.next())),
+            "--window" => match parse("--window", args.next()) {
+                0 => {
+                    eprintln!("nni-live: --window must be at least 1");
+                    usage();
+                }
+                w => window = Some(w),
+            },
             "--idle-exit" => idle_exit = Some(parse("--idle-exit", args.next())),
             "--verify-batch" => verify_batch = true,
             "--retry-budget" => retry_budget = Some(parse("--retry-budget", args.next())),

@@ -51,8 +51,7 @@ use std::path::{Path, PathBuf};
 
 use nni_core::{InferenceResult, PlanCache};
 use nni_measure::{
-    json_escape, MeasurementLog, MeasurementSet, MeasurementSource, MergeError, SetKey,
-    SourceError, StreamError, StreamingLog, TailEvent,
+    json_escape, MeasurementLog, MeasurementSet, MergeError, SetKey, SourceError, TailEvent,
 };
 use nni_scenario::{infer, InferenceConfig, Provenance, StreamingInference};
 use nni_topology::{PathId, Topology};
@@ -146,8 +145,6 @@ impl VerdictUpdate {
 pub enum LiveError {
     /// A corpus entry failed to load.
     Source(SourceError),
-    /// Interval rows refused to append to the session's log.
-    Stream(StreamError),
     /// Two vantage logs refused to merge (grid or path-count mismatch).
     Merge(MergeError),
     /// A second vantage for a key disagrees on topology or classes —
@@ -161,7 +158,6 @@ impl std::fmt::Display for LiveError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             LiveError::Source(e) => write!(f, "entry failed to load: {e}"),
-            LiveError::Stream(e) => write!(f, "interval append refused: {e}"),
             LiveError::Merge(e) => write!(f, "vantage merge refused: {e}"),
             LiveError::VantageMismatch(key) => {
                 write!(f, "vantage for {key} disagrees on topology/classes")
@@ -181,12 +177,6 @@ impl From<SourceError> for LiveError {
     }
 }
 
-impl From<StreamError> for LiveError {
-    fn from(e: StreamError) -> LiveError {
-        LiveError::Stream(e)
-    }
-}
-
 impl From<MergeError> for LiveError {
     fn from(e: MergeError) -> LiveError {
         LiveError::Merge(e)
@@ -199,9 +189,10 @@ struct Session {
     topology: Topology,
     classes: Vec<Vec<PathId>>,
     provenance: Provenance,
-    /// The merged multi-vantage log; its watermark is the verdict
+    /// The merged multi-vantage log, loss-only. Every interval in it is
+    /// closed and folded in: `live.consumed()` is its length and the one
     /// watermark.
-    stream: StreamingLog,
+    log: MeasurementLog,
     live: StreamingInference,
     vantages: usize,
     /// The segment file feeding this session incrementally, if any — the
@@ -228,17 +219,23 @@ impl Session {
         }
     }
 
+    /// Records one closed interval row at the watermark and folds it in.
+    fn append(&mut self, sent: &[u64], lost: &[u64]) {
+        let t = self.log.interval_count();
+        for (p, (&s, &l)) in sent.iter().zip(lost).enumerate() {
+            // Zero counts are recorded too: they materialize the slot.
+            self.log.record_sent(t, PathId(p), s);
+            self.log.record_lost(t, PathId(p), l);
+        }
+        self.live.advance(&self.log, t + 1);
+    }
+
     /// Merges `delta` (another vantage's counts) into the session log and
     /// replays: the exact fallback for history rewrites.
     fn merge_and_rebase(&mut self, delta: &MeasurementLog) -> Result<(), LiveError> {
-        let placeholder = StreamingLog::new(delta.path_count(), delta.interval_s());
-        let mut log = std::mem::replace(&mut self.stream, placeholder).into_log();
-        log.merge(delta)?;
-        let mut stream = StreamingLog::from_log(log);
-        stream.close_all();
-        self.stream = stream;
+        self.log.merge(delta)?;
         self.live.rebase();
-        self.live.advance(self.stream.log(), self.stream.closed());
+        self.live.advance(&self.log, self.log.interval_count());
         Ok(())
     }
 }
@@ -348,19 +345,16 @@ impl LiveMonitor {
         let session = &mut self.sessions[i].1;
         session.degraded = true;
         let appendable =
-            session.primary.as_deref() == Some(path) && from_interval == session.stream.closed();
+            session.primary.as_deref() == Some(path) && from_interval == session.live.consumed();
         if !appendable || to_interval <= from_interval {
             // Non-primary vantages merge their rows as deltas; a gap in
             // one simply means fewer rows to merge.
             return Ok(Vec::new());
         }
-        let zeros = vec![0u64; session.stream.log().path_count()];
+        let zeros = vec![0u64; session.log.path_count()];
         for _ in from_interval..to_interval {
-            session.stream.append_interval(&zeros, &zeros)?;
+            session.append(&zeros, &zeros);
         }
-        session
-            .live
-            .advance(session.stream.log(), session.stream.closed());
         Ok(vec![session.update(key, UpdateMode::Resync)])
     }
 
@@ -381,15 +375,14 @@ impl LiveMonitor {
 
         let i = self.open_session(key, &set);
         let session = &mut self.sessions[i].1;
+        // Rows are copied, not the log moved in: the session log stays
+        // loss-only, so a later vantage can still merge into it.
         let n = set.log.path_count();
         let mut updates = Vec::with_capacity(set.log.interval_count());
         for t in 0..set.log.interval_count() {
             let sent: Vec<u64> = (0..n).map(|p| set.log.sent(t, PathId(p))).collect();
             let lost: Vec<u64> = (0..n).map(|p| set.log.lost(t, PathId(p))).collect();
-            session.stream.append_interval(&sent, &lost)?;
-            session
-                .live
-                .advance(session.stream.log(), session.stream.closed());
+            session.append(&sent, &lost);
             updates.push(session.update(key, UpdateMode::Incremental));
         }
         Ok(updates)
@@ -434,14 +427,11 @@ impl LiveMonitor {
         let session = &mut self.sessions[i].1;
 
         let appendable =
-            session.primary.as_deref() == Some(path) && first_t == session.stream.closed();
+            session.primary.as_deref() == Some(path) && first_t == session.live.consumed();
         if appendable {
             let mut updates = Vec::with_capacity(rows.len());
             for (sent, lost) in rows {
-                session.stream.append_interval(sent, lost)?;
-                session
-                    .live
-                    .advance(session.stream.log(), session.stream.closed());
+                session.append(sent, lost);
                 updates.push(session.update(key, UpdateMode::Incremental));
             }
             return Ok(updates);
@@ -449,7 +439,7 @@ impl LiveMonitor {
 
         // Another vantage's rows (or out-of-position primary rows after a
         // merge extended the log): express them as a delta log and merge.
-        let log = session.stream.log();
+        let log = &session.log;
         let mut delta = MeasurementLog::new(log.path_count(), log.interval_s());
         for (i, (sent, lost)) in rows.iter().enumerate() {
             for (p, (&s, &l)) in sent.iter().zip(lost).enumerate() {
@@ -470,7 +460,7 @@ impl LiveMonitor {
             topology: set.topology.clone(),
             classes: set.classes.clone(),
             provenance: set.provenance.clone(),
-            stream: StreamingLog::new(set.log.path_count(), set.log.interval_s()),
+            log: MeasurementLog::new(set.log.path_count(), set.log.interval_s()),
             live,
             vantages: 1,
             primary: None,
@@ -490,8 +480,8 @@ impl LiveMonitor {
     pub fn verify_batch(&self) -> Vec<VerifyMismatch> {
         let mut mismatches = Vec::new();
         for (key, session) in &self.sessions {
-            let log = session.stream.log();
-            let t_max = session.stream.closed();
+            let log = &session.log;
+            let t_max = session.live.consumed();
             // Windowed sessions compare against the same log with the
             // aged-out prefix zeroed — same interval indices, so the
             // normalization draws line up.
@@ -505,9 +495,6 @@ impl LiveMonitor {
                     batch_log.record_sent(t, PathId(p), log.sent(t, PathId(p)));
                     batch_log.record_lost(t, PathId(p), log.lost(t, PathId(p)));
                 }
-            }
-            if t_max > 0 && batch_log.interval_count() < t_max {
-                batch_log.record_sent(t_max - 1, PathId(0), 0);
             }
             let batch_set = MeasurementSet {
                 topology: session.topology.clone(),
@@ -532,12 +519,6 @@ impl LiveMonitor {
     pub fn verdict(&self, key: SetKey) -> Option<InferenceResult> {
         let &i = self.index.get(&key)?;
         Some(self.sessions[i].1.live.verdict())
-    }
-
-    /// The merged log watermark of one session, if tracked.
-    pub fn watermark(&self, key: SetKey) -> Option<usize> {
-        let &i = self.index.get(&key)?;
-        Some(self.sessions[i].1.stream.closed())
     }
 }
 

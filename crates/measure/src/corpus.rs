@@ -1,6 +1,6 @@
 //! On-disk measurement corpora: a directory of binary-encoded
-//! [`MeasurementSet`]s (extension `.nniset`), each entry a lazily decoded
-//! [`MeasurementSource`].
+//! [`MeasurementSet`]s (extension `.nniset`), each entry keyed by its
+//! provenance and decoded only on [`CorpusEntry::acquire`].
 //!
 //! Recording a set writes `encode(set)` under a name derived from its
 //! provenance (`<scenario>-<fingerprint>-s<seed>.nniset`, scenario
@@ -11,7 +11,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::codec::{self, CodecError};
-use crate::dataset::{MeasurementSet, MeasurementSource, Provenance, SetKey, SourceError};
+use crate::dataset::{MeasurementSet, Provenance, SetKey, SourceError};
 
 /// File extension of corpus entries.
 pub const CORPUS_EXT: &str = "nniset";
@@ -105,7 +105,7 @@ pub fn entry_order_key(path: &Path) -> (String, Option<u64>, String) {
 }
 
 /// One corpus file: provenance read eagerly (cheap prefix decode), the log
-/// decoded only on [`acquire`](MeasurementSource::acquire).
+/// decoded only on [`acquire`](CorpusEntry::acquire).
 #[derive(Debug, Clone)]
 pub struct CorpusEntry {
     path: PathBuf,
@@ -130,17 +130,18 @@ impl CorpusEntry {
     pub fn provenance(&self) -> &Provenance {
         &self.provenance
     }
-}
 
-impl MeasurementSource for CorpusEntry {
-    fn key(&self) -> SetKey {
+    /// The `(scenario fingerprint, seed)` identity of the set this entry
+    /// holds — known without decoding the log, so caches can hit first.
+    pub fn key(&self) -> SetKey {
         SetKey {
             fingerprint: self.provenance.scenario_fingerprint,
             seed: self.provenance.seed,
         }
     }
 
-    fn acquire(&self) -> Result<MeasurementSet, SourceError> {
+    /// Reads and decodes the full set.
+    pub fn acquire(&self) -> Result<MeasurementSet, SourceError> {
         let bytes = fs::read(&self.path)?;
         let set = codec::decode(&bytes)?;
         if set.provenance != self.provenance {

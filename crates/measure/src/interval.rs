@@ -1,13 +1,11 @@
-//! The one measurement-interval binning rule, shared by every layer.
+//! The one measurement-interval binning rule.
 //!
-//! Two implementations used to coexist: [`MeasurementLog::interval_of`]
-//! binned timestamps with a bare `floor()` on seconds, while the emulator's
-//! cached interval index walked nanosecond boundaries by ULPs. Both must
-//! agree — a packet stamped exactly on `k * interval_s` has to land in the
-//! same bin no matter which layer asks — so the division and the boundary
-//! inversion live here, and both layers call these.
-//!
-//! [`MeasurementLog::interval_of`]: crate::MeasurementLog::interval_of
+//! A timestamp in seconds bins with a bare `floor()` division, while the
+//! emulator's cached interval index walks nanosecond boundaries by ULPs.
+//! Both must agree — a packet stamped exactly on `k * interval_s` has to
+//! land in the same bin whether it is asked in seconds or nanoseconds — so
+//! the division and the boundary inversion live here, and the emulator
+//! calls these.
 
 /// Measurement-interval index containing a timestamp, as a pure float
 /// division: `floor(time_s / interval_s)`, clamped at zero.
@@ -79,13 +77,22 @@ mod tests {
     fn ns_and_seconds_rules_agree_on_boundaries() {
         // A timestamp landing exactly on a computed bin boundary must bin
         // identically whether asked in nanoseconds (emulator clock) or in
-        // seconds (log timestamps converted the same way).
-        for interval_s in [0.1, 0.05, 0.3, 1.0 / 3.0] {
+        // seconds (log timestamps converted the same way), and into that
+        // boundary's interval; one nanosecond earlier belongs to the
+        // previous interval.
+        for interval_s in [0.1, 0.05, 0.3, 1.0 / 3.0, 0.123456789] {
             for i in 1u64..200 {
                 let b = interval_boundary_ns(interval_s, i);
+                let time_s = b as f64 / 1e9;
                 assert_eq!(
                     interval_index_ns(b, interval_s),
-                    interval_index(b as f64 / 1e9, interval_s),
+                    interval_index(time_s, interval_s),
+                    "boundary {i} at interval {interval_s}"
+                );
+                assert_eq!(interval_index(time_s, interval_s), i as usize);
+                assert_eq!(
+                    interval_index((b - 1) as f64 / 1e9, interval_s),
+                    (i - 1) as usize
                 );
             }
         }

@@ -15,18 +15,15 @@
 //! * [`observer`] — [`MeasuredObservations`], the measured implementation of
 //!   `nni_core::Observations` that Algorithm 1 consumes.
 //! * [`dataset`] — the acquisition/inference seam: [`MeasurementSet`] (the
-//!   serializable bundle inference consumes), the [`MeasurementSource`]
-//!   trait, and the [`MeasurementCache`].
+//!   serializable bundle inference consumes), its [`SetKey`] identity, and
+//!   the [`MeasurementCache`] that memoizes sets by key.
 //! * [`codec`] — the hand-rolled binary serialization of a measurement set
 //!   (no serde; the tree is vendored). `exp_corpus dump` prints stored
 //!   sets as text; nothing parses that text back.
 //! * [`corpus`] — on-disk corpora of encoded sets ([`Corpus`],
-//!   [`CorpusEntry`]).
-//! * [`interval`] — the one measurement-interval binning rule, shared with
-//!   the emulator's cached interval index.
-//! * [`stream`] — streaming acquisition: [`StreamingLog`], a log with a
-//!   closed-interval watermark; consumers fold the closed prefix into
-//!   [`GroupBits`] one interval at a time.
+//!   [`CorpusEntry`], whose key is known before its log is decoded).
+//! * [`interval`] — the one measurement-interval binning rule the
+//!   emulator bins timestamps with.
 //! * [`segment`] — the append-friendly `.nniseg` on-disk segment format
 //!   ([`SegmentWriter`]/[`SegmentFollower`]): a codec-v1 header chunk plus
 //!   checksummed interval chunks, readable while being written, with
@@ -55,17 +52,13 @@ pub mod observer;
 pub mod record;
 pub mod relay;
 pub mod segment;
-pub mod stream;
 pub mod tail;
 pub mod wire;
 
 pub use corpus::{
     entry_file_name, entry_order_key, segment_file_name, Corpus, CorpusEntry, CORPUS_EXT,
 };
-pub use dataset::{
-    Cached, Fnv, MeasurementCache, MeasurementSet, MeasurementSource, Provenance, SetKey,
-    SourceError,
-};
+pub use dataset::{Fnv, MeasurementCache, MeasurementSet, Provenance, SetKey, SourceError};
 pub use normalize::{
     group_indicators, hypergeometric, interval_eval_count, pathset_cf_counts, perf_from_counts,
     GroupBits, NormalizeConfig,
@@ -78,7 +71,6 @@ pub use segment::{
     SegmentWriter, MAX_CHUNK_BYTES, SEGMENT_EXT, VERSION as SEGMENT_VERSION,
     VERSION_V1 as SEGMENT_VERSION_V1,
 };
-pub use stream::{StreamError, StreamingLog};
 pub use tail::{CorpusTail, TailEvent};
 pub use wire::{
     frame_bytes, frame_bytes_v1, read_frame, read_frame_v1, write_frame, FrameError, WireReader,

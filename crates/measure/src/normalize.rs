@@ -564,4 +564,117 @@ mod tests {
         let y = perf_from_counts(0, 100);
         assert!(y.is_finite() && y > 5.0);
     }
+
+    fn lossy_log(t_max: usize) -> MeasurementLog {
+        let mut log = MeasurementLog::new(3, 0.1);
+        for t in 0..t_max {
+            for p in 0..3 {
+                if p == 2 && t % 7 == 3 {
+                    // Starved path: uninformative interval for any group
+                    // containing it.
+                    continue;
+                }
+                log.record_sent(t, PathId(p), 200 + 50 * p as u64);
+                log.record_lost(t, PathId(p), ((t * (p + 2)) % 9) as u64);
+            }
+            if t % 5 == 0 {
+                log.record_lost(t, PathId(0), 40);
+                log.record_lost(t, PathId(1), 40);
+            }
+        }
+        // A trailing fully silent interval.
+        log.record_sent(t_max, PathId(0), 0);
+        log
+    }
+
+    /// `(congestion_free, informative)` of the members `rows` over `range`.
+    fn counts(bits: &GroupBits, rows: &[usize], range: std::ops::Range<usize>) -> (usize, usize) {
+        (
+            bits.congestion_free(rows, range.clone()),
+            bits.informative(range),
+        )
+    }
+
+    #[test]
+    fn incremental_counts_match_batch() {
+        let log = lossy_log(40);
+        let cfg = NormalizeConfig::default();
+        let group = [PathId(0), PathId(1), PathId(2)];
+        let sets: [&[usize]; 3] = [&[0], &[0, 1], &[0, 1, 2]];
+
+        let mut inc = GroupBits::new(&group, cfg);
+        let batch_ind = group_indicators(&log, &group, cfg);
+        // Fold one interval at a time; at every prefix the counts match a
+        // batch recount of that prefix.
+        for through in 0..=log.interval_count() {
+            inc.extend(&log, through);
+            assert_eq!(inc.len(), through);
+            for rows in sets {
+                let truncated: Vec<Vec<Option<bool>>> = batch_ind
+                    .iter()
+                    .map(|row| row[..through].to_vec())
+                    .collect();
+                let want = pathset_cf_counts(&truncated, rows);
+                assert_eq!(counts(&inc, rows, 0..through), want, "prefix {through}");
+            }
+        }
+    }
+
+    #[test]
+    fn windowed_counts_cover_last_w_intervals() {
+        let log = lossy_log(150);
+        let cfg = NormalizeConfig::default();
+        let group = [PathId(0), PathId(1)];
+        let ind = group_indicators(&log, &group, cfg);
+        for w in [12, 63, 64, 65] {
+            let mut inc = GroupBits::new(&group, cfg);
+            for through in 1..=log.interval_count() {
+                inc.extend(&log, through);
+                let lo = through.saturating_sub(w);
+                let windowed: Vec<Vec<Option<bool>>> =
+                    ind.iter().map(|row| row[lo..through].to_vec()).collect();
+                let want = pathset_cf_counts(&windowed, &[0, 1]);
+                assert_eq!(
+                    counts(&inc, &[0, 1], lo..through),
+                    want,
+                    "window {w} ending at {through}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rebase_replays_merged_history() {
+        let mut a = lossy_log(30);
+        let mut b = MeasurementLog::new(3, 0.1);
+        for t in 0..30 {
+            b.record_sent(t, PathId(1), 90);
+            b.record_lost(t, PathId(1), (t % 4) as u64);
+        }
+        let cfg = NormalizeConfig::default();
+        let group = [PathId(0), PathId(1), PathId(2)];
+        let mut inc = GroupBits::new(&group, cfg);
+        inc.extend(&a, a.interval_count());
+        let row = inc.row(PathId(1));
+
+        // Second vantage arrives: merged history invalidates the bitsets.
+        a.merge(&b).unwrap();
+        inc.clear();
+        assert!(inc.is_empty());
+        inc.extend(&a, a.interval_count());
+
+        let ind = group_indicators(&a, &group, cfg);
+        let want = pathset_cf_counts(&ind, &[1]);
+        assert_eq!(counts(&inc, &[row], 0..a.interval_count()), want);
+    }
+
+    #[test]
+    fn group_registration_deduplicates() {
+        let cfg = NormalizeConfig::default();
+        let a = GroupBits::new(&[PathId(1), PathId(0), PathId(1)], cfg);
+        let b = GroupBits::new(&[PathId(0), PathId(1)], cfg);
+        assert_eq!(a.paths(), b.paths());
+        assert_eq!(a.paths(), &[PathId(0), PathId(1)]);
+        assert_eq!(a.row(PathId(1)), 1);
+    }
 }

@@ -92,14 +92,6 @@ impl MeasurementLog {
         self.sent.len()
     }
 
-    /// Interval index for a timestamp — the same binning rule as the
-    /// emulator's cached interval index (see [`crate::interval`]): a
-    /// timestamp landing exactly on `k * interval_s` goes to interval `k`
-    /// in both layers.
-    pub fn interval_of(&self, time_s: f64) -> usize {
-        crate::interval::interval_index(time_s, self.interval_s)
-    }
-
     fn ensure(&mut self, t: usize) {
         while self.sent.len() <= t {
             self.sent.push(vec![0; self.n_paths]);
@@ -327,15 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn interval_of_maps_time() {
-        let log = MeasurementLog::new(1, 0.1);
-        assert_eq!(log.interval_of(0.0), 0);
-        assert_eq!(log.interval_of(0.05), 0);
-        assert_eq!(log.interval_of(0.1), 1);
-        assert_eq!(log.interval_of(1.234), 12);
-    }
-
-    #[test]
     fn congestion_probability_thresholds() {
         let mut log = MeasurementLog::new(1, 0.1);
         let p = PathId(0);
@@ -350,35 +333,6 @@ mod tests {
         assert!((log.congestion_probability(p, 0.01) - 1.0 / 3.0).abs() < 1e-12);
         // With a 10% threshold nothing is congested.
         assert_eq!(log.congestion_probability(p, 0.10), 0.0);
-    }
-
-    #[test]
-    fn interval_of_agrees_with_the_emulator_boundary_walk() {
-        // A timestamp landing exactly on a ULP-walked interval boundary
-        // must bin into that interval — the regression this satellite
-        // exists for: `interval_of` and the emulator's cached index now
-        // share one rule (`crate::interval`), so a boundary packet can
-        // never be logged into interval k by one layer and k-1 by the
-        // other.
-        use crate::interval::{interval_boundary_ns, interval_index_ns};
-        for interval_s in [0.1, 0.05, 0.3, 1.0 / 3.0, 0.123456789] {
-            let log = MeasurementLog::new(1, interval_s);
-            for k in 1u64..200 {
-                let boundary_ns = interval_boundary_ns(interval_s, k);
-                let time_s = boundary_ns as f64 / 1e9;
-                assert_eq!(
-                    log.interval_of(time_s),
-                    interval_index_ns(boundary_ns, interval_s),
-                    "boundary {k} at interval {interval_s}"
-                );
-                assert_eq!(log.interval_of(time_s), k as usize);
-                // One nanosecond earlier belongs to the previous interval.
-                assert_eq!(
-                    log.interval_of((boundary_ns - 1) as f64 / 1e9),
-                    (k - 1) as usize
-                );
-            }
-        }
     }
 
     #[test]

@@ -3,12 +3,12 @@
 //! An experiment is a compiled scenario: simulator link parameters and the
 //! route table are materialized once, so repeated runs (and executor workers)
 //! share the same pre-resolved inputs. Acquisition and inference are
-//! decoupled: [`Experiment::simulate`] produces a [`MeasurementSet`] (the
-//! experiment is a [`MeasurementSource`]), [`crate::infer()`] consumes one,
-//! and [`Experiment::run`] is the thin fused composition of the two. Every
-//! entry point is a pure function of the scenario — identical scenarios
-//! produce bit-identical outcomes on any executor, which is what makes
-//! run-sharding and measurement caching safe.
+//! decoupled: [`Experiment::simulate`] produces a [`MeasurementSet`] (whose
+//! [`SetKey`] [`Experiment::key`] knows beforehand), [`crate::infer()`]
+//! consumes one, and [`Experiment::run`] is the thin fused composition of
+//! the two. Every entry point is a pure function of the scenario —
+//! identical scenarios produce bit-identical outcomes on any executor,
+//! which is what makes run-sharding and measurement caching safe.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -17,9 +17,7 @@ use nni_emu::{
     background_route, link_params, measured_routes, LinkParams, Route, RouteId, SimConfig,
     SimReport, Simulator, TrafficSpec,
 };
-use nni_measure::{
-    MeasurementLog, MeasurementSet, MeasurementSource, Provenance, SetKey, SourceError,
-};
+use nni_measure::{MeasurementLog, MeasurementSet, Provenance, SetKey};
 
 use crate::infer::InferenceConfig;
 use crate::spec::{Scenario, TrafficProfile};
@@ -84,6 +82,16 @@ impl Experiment {
     /// The scenario this experiment was compiled from.
     pub fn scenario(&self) -> &Scenario {
         &self.scenario
+    }
+
+    /// The `(scenario fingerprint, seed)` identity of the set
+    /// [`simulate`](Experiment::simulate) yields — known without
+    /// simulating, so caches can hit first.
+    pub fn key(&self) -> SetKey {
+        SetKey {
+            fingerprint: self.fingerprint,
+            seed: self.scenario.measurement.seed,
+        }
     }
 
     /// The materialized per-link simulator parameters (queue overrides
@@ -207,20 +215,6 @@ impl Experiment {
     }
 }
 
-/// The live emulator as a measurement source: acquisition simulates.
-impl MeasurementSource for Experiment {
-    fn key(&self) -> SetKey {
-        SetKey {
-            fingerprint: self.fingerprint,
-            seed: self.scenario.measurement.seed,
-        }
-    }
-
-    fn acquire(&self) -> Result<MeasurementSet, SourceError> {
-        Ok(self.simulate())
-    }
-}
-
 fn spec_for(route: RouteId, p: &TrafficProfile) -> TrafficSpec {
     TrafficSpec {
         route,
@@ -300,11 +294,11 @@ mod tests {
         assert_eq!(key.seed, 5);
         assert_eq!(key.fingerprint, s.measurement_fingerprint());
         let before = simulation_count();
-        let set = exp.acquire().expect("live acquisition is infallible");
+        let set = exp.simulate();
         // Other unit tests simulate concurrently, so only monotonicity is
         // asserted here; the exact-count probe lives in the serialized
         // `tests/reinfer.rs` suite.
-        assert!(simulation_count() > before, "acquire must simulate");
+        assert!(simulation_count() > before, "simulate runs the emulator");
         assert_eq!(set.key(), key);
         assert_eq!(set.log, exp.emulate().log);
         assert_eq!(set.provenance.scenario, "policing");

@@ -11,7 +11,7 @@
 //! * [`experiment`] — the compiled [`Experiment`] and its
 //!   [`ExperimentOutcome`]. Acquisition and inference are decoupled:
 //!   [`Experiment::simulate`] yields a serializable
-//!   [`MeasurementSet`] (experiments are [`MeasurementSource`]s), and
+//!   [`MeasurementSet`] (keyed by [`SetKey`] before it is simulated), and
 //!   [`Experiment::run`] is the thin fused composition.
 //! * [`infer`](mod@infer) — the inference half: [`infer()`]/[`infer_scored`]
 //!   run Algorithm 1/2 over *any* measurement set (live, decoded from an
@@ -124,6 +124,5 @@ pub use sweep::{reinfer_sets, run_sets, ReinferOutcome, SweepMember, SweepOutcom
 // The dataset seam's types, re-exported so consumers of the experiment
 // surface need only this crate.
 pub use nni_measure::{
-    Cached, Corpus, CorpusEntry, MeasurementCache, MeasurementSet, MeasurementSource, Provenance,
-    SetKey, SourceError,
+    Corpus, CorpusEntry, MeasurementCache, MeasurementSet, Provenance, SetKey, SourceError,
 };

@@ -372,7 +372,6 @@ pub fn reinfer_sets(
     executor: &dyn Executor,
     cache: &MeasurementCache,
 ) -> Vec<Vec<ReinferOutcome>> {
-    use nni_measure::MeasurementSource;
     let experiments: Vec<Vec<Experiment>> = sets.iter().map(SweepSet::compile).collect();
     // The experiments whose keys the cache lacks, one per distinct key, in
     // first-occurrence order across the whole batch.

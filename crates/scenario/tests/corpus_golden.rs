@@ -19,7 +19,7 @@
 //! first: a mismatch here means previously recorded corpora now replay
 //! differently, which is exactly what this gate exists to catch.
 
-use nni_measure::{Corpus, MeasurementSource};
+use nni_measure::Corpus;
 use nni_scenario::{infer, InferenceConfig};
 
 fn golden_dir() -> std::path::PathBuf {
