@@ -9,10 +9,7 @@ use std::io::Cursor;
 
 use nni_emu::{decode_report, encode_report, LinkTruth, QueueTrace, SimReport};
 use nni_measure::codec::CodecError;
-use nni_measure::{
-    frame_bytes, frame_bytes_v1, read_frame, read_frame_v1, FrameError, MeasurementLog,
-    FRAME_VERSION,
-};
+use nni_measure::{frame_bytes, read_frame, FrameError, MeasurementLog};
 use nni_topology::{LinkId, PathId};
 use proptest::prelude::*;
 
@@ -173,50 +170,8 @@ proptest! {
         }
     }
 
-    /// Backward interop: every frozen v1 frame decodes bit-identically in
-    /// the v2 reader — a fleet can upgrade its readers first.
-    #[test]
-    fn v1_frames_decode_bit_identically_in_the_v2_reader(report in arb_report()) {
-        let frame = frame_bytes_v1(MAGIC, &encode_report(&report));
-        let payload = read_frame(&mut Cursor::new(&frame), MAGIC)
-            .expect("v1 frame reads clean")
-            .expect("one frame present");
-        prop_assert_eq!(&decode_report(&payload).unwrap(), &report);
-    }
-
-    /// Forward interop: a still-deployed v1 reader stops on a v2 frame at
-    /// the version byte with a typed `UnsupportedVersion(2)` — never a
-    /// checksum mismatch, never a speculative allocation from misreading
-    /// the sync marker as a length.
-    #[test]
-    fn v2_frames_fail_the_v1_reader_at_the_version_byte(report in arb_report()) {
-        let frame = frame_bytes(MAGIC, &encode_report(&report));
-        let got = read_frame_v1(&mut Cursor::new(&frame), MAGIC);
-        prop_assert!(matches!(
-            got,
-            Err(FrameError::Codec(CodecError::UnsupportedVersion(FRAME_VERSION)))
-        ), "v1 reader on a v2 frame: {got:?}");
-    }
-
-    /// The PR 8 bit-flip guarantee re-run against the frozen v1 layout:
-    /// one flipped bit never delivers a payload through either reader.
-    #[test]
-    fn v1_frame_bit_flip_never_delivers_in_either_reader(
-        report in arb_report(),
-        frac in 0.0f64..1.0,
-        bit in 0u8..8,
-    ) {
-        let mut frame = frame_bytes_v1(MAGIC, &encode_report(&report));
-        let i = at(frac, frame.len());
-        frame[i] ^= 1 << bit;
-        let v2 = read_frame(&mut Cursor::new(&frame), MAGIC);
-        prop_assert!(v2.is_err(), "flipped v1 frame via v2 reader: {v2:?}");
-        let v1 = read_frame_v1(&mut Cursor::new(&frame), MAGIC);
-        prop_assert!(v1.is_err(), "flipped v1 frame via v1 reader: {v1:?}");
-    }
-
     /// Marker-adjacent corruption: a flip confined to the 8-byte sync
-    /// region of a v2 frame is specifically the typed sync-marker
+    /// region of a frame is specifically the typed sync-marker
     /// mismatch — the resync scanner's anchor failure, not a mystery
     /// checksum error downstream.
     #[test]

@@ -28,14 +28,14 @@
 //! a reader can skip any section wholesale, and a truncated file fails
 //! loudly with [`CodecError::UnexpectedEof`] instead of misparsing.
 //!
-//! Sections must appear in tag order exactly once each; the version byte is
-//! the compatibility gate. [`encode`] emits version 1 — bit-identical to
-//! every pre-delay build — unless the log carries a delay grid, in which
-//! case it emits version 2 with the DELAY section (the grid dimensions are
-//! implied by the LOG section, so the section is never ambiguous).
-//! [`decode`] accepts both; [`decode_v1`] is the frozen v1-only reader and
-//! rejects version 2 with [`CodecError::UnsupportedVersion`] — the typed
-//! error a pre-delay reader would raise.
+//! Sections must appear in tag order exactly once each; the version byte
+//! says whether the DELAY section can follow. [`encode`] emits version 1
+//! unless the log carries a delay grid, in which case it emits version 2
+//! with the DELAY section (the grid dimensions are implied by the LOG
+//! section, so the section is never ambiguous). Loss-only sets therefore
+//! encode byte-identically to every pre-delay build, which the committed
+//! golden corpus pins. [`decode`] accepts both versions and rejects any
+//! other with [`CodecError::UnsupportedVersion`].
 
 use crate::dataset::{Fnv, MeasurementSet, Provenance};
 use crate::record::{DelayStats, MeasurementLog};
@@ -68,7 +68,10 @@ pub enum CodecError {
     UnexpectedEof,
     /// The stream does not start with [`MAGIC`].
     BadMagic,
-    /// The version byte is newer than this decoder.
+    /// The version byte names a layout this reader does not read: a set
+    /// version other than 1 or 2, or a frame version other than
+    /// [`FRAME_VERSION`](crate::wire::FRAME_VERSION) — the retired frame
+    /// version 1 included.
     UnsupportedVersion(u8),
     /// A string payload is not UTF-8.
     BadUtf8,
@@ -369,23 +372,6 @@ pub fn decode(bytes: &[u8]) -> Result<MeasurementSet, CodecError> {
     })
 }
 
-/// Decodes a measurement set through the **frozen version-1 reader**: the
-/// exact compatibility surface of a pre-delay build. A version-2 stream is
-/// rejected with [`CodecError::UnsupportedVersion`]`(2)` — the typed error
-/// old readers raise on new corpora — instead of being silently truncated
-/// to its loss half.
-pub fn decode_v1(bytes: &[u8]) -> Result<MeasurementSet, CodecError> {
-    let mut r = WireReader::new(bytes);
-    if r.take(MAGIC.len())? != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let version = r.u8()?;
-    if version != VERSION_V1 {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
-    decode(bytes)
-}
-
 /// Decodes only the header and provenance section — how a corpus lists its
 /// entries' [`SetKey`](crate::SetKey)s without paying for full decodes.
 /// Returns the provenance and the stream offset of the next section.
@@ -506,11 +492,11 @@ pub(crate) mod tests {
     #[test]
     fn loss_only_sets_still_encode_as_version_1() {
         // The pre-delay compatibility surface: a loss-only set's bytes are
-        // version 1 and the frozen v1 reader accepts them.
+        // version 1.
         let set = sample();
         let bytes = encode(&set);
         assert_eq!(bytes[MAGIC.len()], VERSION_V1);
-        assert_eq!(decode_v1(&bytes).expect("v1 reader decodes"), set);
+        assert_eq!(decode(&bytes).expect("decodes"), set);
     }
 
     #[test]
@@ -524,16 +510,7 @@ pub(crate) mod tests {
         assert_eq!(back.log.delay(0, PathId(0)).unwrap().count, 2);
         assert_eq!(back.log.delay(3, PathId(0)).unwrap().p99_s, 1.25);
         assert_eq!(back.log.delay(1, PathId(0)), None);
-    }
-
-    #[test]
-    fn v1_reader_rejects_v2_streams_with_typed_version_error() {
-        let bytes = encode(&sample_with_delay());
-        assert_eq!(
-            decode_v1(&bytes).unwrap_err(),
-            CodecError::UnsupportedVersion(VERSION_V2)
-        );
-        // The prefix reader (corpus listing) accepts both versions.
+        // The prefix reader (corpus listing) accepts version 2 too.
         assert!(decode_prefix(&bytes).is_ok());
     }
 

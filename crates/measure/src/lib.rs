@@ -69,12 +69,11 @@ pub use relay::{decode_relay, relay_frame, RelaySource, RemoteTail, RELAY_MAGIC}
 pub use segment::{
     IntervalRows, SegmentBatch, SegmentError, SegmentFollower, SegmentGap, SegmentItem,
     SegmentWriter, MAX_CHUNK_BYTES, SEGMENT_EXT, VERSION as SEGMENT_VERSION,
-    VERSION_V1 as SEGMENT_VERSION_V1,
 };
 pub use tail::{CorpusTail, TailEvent};
 pub use wire::{
-    frame_bytes, frame_bytes_v1, read_frame, read_frame_v1, write_frame, FrameError, WireReader,
-    WireWriter, FRAME_VERSION, FRAME_VERSION_V1, SYNC_MARKER,
+    frame_bytes, read_frame, write_frame, FrameError, WireReader, WireWriter, FRAME_VERSION,
+    SYNC_MARKER,
 };
 
 /// Escapes `s` for use inside a JSON string literal: `"` and `\` are

@@ -9,12 +9,12 @@
 //! [`SegmentFollower::poll_bytes`] state machine a local tail runs, in
 //! resync mode — so corrupt chunks degrade to
 //! [`TailEvent::SegmentGap`]s, header corruption is terminal per file,
-//! and the v2 sync-marker recovery semantics hold bit-for-bit, *by
+//! and the sync-marker recovery semantics hold bit-for-bit, *by
 //! construction* rather than by reimplementation.
 //!
 //! # Protocol
 //!
-//! One relay message is one standard v2 [`wire`](crate::wire) frame with
+//! One relay message is one standard [`wire`](crate::wire) frame with
 //! magic [`RELAY_MAGIC`] whose payload is:
 //!
 //! ```text
@@ -455,7 +455,7 @@ mod tests {
 
     #[test]
     fn corrupt_length_field_recovers_remotely_via_the_sync_marker() {
-        // The headline v2 fix, over the wire: a trailing chunk whose
+        // The sync-marker fix, over the wire: a trailing chunk whose
         // *length* field is corrupted is disproven by the next sync
         // marker and the remote stream resumes — no stall.
         let dir = temp_dir("parity-len");

@@ -22,11 +22,10 @@
 //!                     interval per path: sent vu, lost vu
 //! ```
 //!
-//! Version 1 is the same layout without the per-chunk sync marker. The
-//! follower reads both; the writer emits v2 ([`SegmentWriter::create_v1`]
-//! still writes v1 for compatibility tests), and a deployed v1 reader
-//! meeting a v2 file stops at the version byte with
-//! [`SegmentError::UnsupportedVersion`]`(2)`.
+//! The version byte sits at offset 7, right after the magic. Any version
+//! other than [`VERSION`] — the retired version 1 included — fails there
+//! with [`SegmentError::UnsupportedVersion`], from the 8-byte prefix
+//! alone, before any chunk is parsed.
 //!
 //! Interval chunks are contiguous: each chunk's first interval equals the
 //! number of intervals in all chunks before it. A reader that finds fewer
@@ -46,18 +45,17 @@
 //! unrecoverable region is the header: without it a reader cannot even
 //! size an interval row, so header corruption stays terminal.
 //!
-//! The sync marker is what makes v2 resync *honest about lengths*. In v1
-//! a corrupt *length* field can masquerade as an incomplete trailing
-//! chunk forever (lengths above [`MAX_CHUNK_BYTES`] are rejected, but a
-//! plausible corrupt length stalls the follower on a tail that will never
-//! complete). In v2 the claim is falsifiable: an append-only producer
-//! writes chunks in order, so bytes after a genuinely in-flight chunk
-//! cannot contain a complete chunk — if the follower finds a complete,
-//! checksum-valid, in-order intervals chunk at a *later* sync marker, the
-//! trailing chunk's length was a lie, and the follower reports the loss
-//! as a gap (resync mode) or fails loudly (strict mode) instead of
-//! waiting forever. Scanning is marker-to-marker rather than v1's
-//! byte-by-byte trial decode.
+//! The sync marker is what makes resync *honest about lengths*. Without
+//! it, a corrupt but plausible *length* field (lengths above
+//! [`MAX_CHUNK_BYTES`] are rejected outright) could masquerade as an
+//! incomplete trailing chunk forever. With it the claim is falsifiable:
+//! an append-only producer writes chunks in order, so bytes after a
+//! genuinely in-flight chunk cannot contain a complete chunk — if the
+//! follower finds a complete, checksum-valid, in-order intervals chunk at
+//! a *later* sync marker, the trailing chunk's length was a lie, and the
+//! follower reports the loss as a gap (resync mode) or fails loudly
+//! (strict mode) instead of waiting forever. Scanning hops from marker to
+//! marker rather than trial-decoding at every byte offset.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -78,9 +76,6 @@ pub const MAGIC: &[u8; 7] = b"NNISEGS";
 /// Current segment format version: sync-marker chunks.
 pub const VERSION: u8 = 2;
 
-/// The frozen version-1 segment format (chunks without sync markers).
-pub const VERSION_V1: u8 = 1;
-
 const TAG_HEADER: u8 = 1;
 const TAG_INTERVALS: u8 = 2;
 
@@ -96,7 +91,7 @@ pub enum SegmentError {
     Io(std::io::Error),
     /// The file does not start with [`MAGIC`].
     BadMagic,
-    /// The version byte is newer than this reader.
+    /// The version byte is not [`VERSION`] (an older or a newer format).
     UnsupportedVersion(u8),
     /// The header chunk's embedded measurement set failed to decode.
     Codec(CodecError),
@@ -148,27 +143,11 @@ fn header_set(set: &MeasurementSet) -> MeasurementSet {
     }
 }
 
-/// Frames one v2 chunk: sync marker, tag, length, payload, trailing FNV
+/// Frames one chunk: sync marker, tag, length, payload, trailing FNV
 /// over all of it.
 fn chunk_bytes(tag: u8, payload: &[u8]) -> Vec<u8> {
     let mut w = WireWriter::new();
     w.raw(&SYNC_MARKER);
-    w.u8(tag);
-    w.u64(payload.len() as u64);
-    w.raw(payload);
-    let mut h = Fnv::new();
-    for &b in w.bytes() {
-        h.byte(b);
-    }
-    let checksum = h.0;
-    w.u64(checksum);
-    w.into_bytes()
-}
-
-/// Frames one frozen v1 chunk (no sync marker) — what pre-v2 writers
-/// emitted.
-fn chunk_bytes_v1(tag: u8, payload: &[u8]) -> Vec<u8> {
-    let mut w = WireWriter::new();
     w.u8(tag);
     w.u64(payload.len() as u64);
     w.raw(payload);
@@ -189,7 +168,6 @@ pub struct SegmentWriter {
     file: File,
     n_paths: usize,
     written: usize,
-    version: u8,
 }
 
 impl SegmentWriter {
@@ -200,25 +178,6 @@ impl SegmentWriter {
         path: impl AsRef<Path>,
         set: &MeasurementSet,
     ) -> Result<SegmentWriter, SegmentError> {
-        SegmentWriter::create_with_version(path, set, VERSION)
-    }
-
-    /// Creates a frozen version-1 segment — what every pre-v2 producer
-    /// wrote. Kept so interop tests can generate genuine v1 files and pin
-    /// both that the follower still reads them bit-identically and the v1
-    /// length-field stall this format cannot avoid.
-    pub fn create_v1(
-        path: impl AsRef<Path>,
-        set: &MeasurementSet,
-    ) -> Result<SegmentWriter, SegmentError> {
-        SegmentWriter::create_with_version(path, set, VERSION_V1)
-    }
-
-    fn create_with_version(
-        path: impl AsRef<Path>,
-        set: &MeasurementSet,
-        version: u8,
-    ) -> Result<SegmentWriter, SegmentError> {
         let mut file = OpenOptions::new()
             .write(true)
             .create(true)
@@ -226,20 +185,14 @@ impl SegmentWriter {
             .open(path.as_ref())?;
         let mut prefix = Vec::with_capacity(MAGIC.len() + 1);
         prefix.extend_from_slice(MAGIC);
-        prefix.push(version);
+        prefix.push(VERSION);
         file.write_all(&prefix)?;
-        let header = codec::encode(&header_set(set));
-        let chunk = match version {
-            VERSION_V1 => chunk_bytes_v1(TAG_HEADER, &header),
-            _ => chunk_bytes(TAG_HEADER, &header),
-        };
-        file.write_all(&chunk)?;
+        file.write_all(&chunk_bytes(TAG_HEADER, &codec::encode(&header_set(set))))?;
         file.flush()?;
         Ok(SegmentWriter {
             file,
             n_paths: set.log.path_count(),
             written: 0,
-            version,
         })
     }
 
@@ -277,10 +230,7 @@ impl SegmentWriter {
                 w.vu(log.lost(t, PathId(p)));
             }
         }
-        let chunk = match self.version {
-            VERSION_V1 => chunk_bytes_v1(TAG_INTERVALS, w.bytes()),
-            _ => chunk_bytes(TAG_INTERVALS, w.bytes()),
-        };
+        let chunk = chunk_bytes(TAG_INTERVALS, w.bytes());
         self.file.write_all(&chunk)?;
         self.file.flush()?;
         self.written = to;
@@ -362,9 +312,8 @@ impl SegmentBatch {
 #[derive(Debug)]
 pub struct SegmentFollower {
     path: PathBuf,
+    /// Next unread byte; 0 until the magic + version prefix is read.
     offset: usize,
-    /// The file's format version, learned from the prefix on first poll.
-    version: Option<u8>,
     n_paths: Option<usize>,
     seen_intervals: usize,
     resync: bool,
@@ -382,7 +331,6 @@ impl SegmentFollower {
         SegmentFollower {
             path: path.into(),
             offset: 0,
-            version: None,
             n_paths: None,
             seen_intervals: 0,
             resync: false,
@@ -442,7 +390,7 @@ impl SegmentFollower {
     pub fn poll_bytes(&mut self, bytes: &[u8]) -> Result<SegmentBatch, SegmentError> {
         let mut batch = SegmentBatch::default();
 
-        if self.version.is_none() {
+        if self.offset == 0 {
             // The fixed prefix: magic + version.
             if bytes.len() < MAGIC.len() + 1 {
                 return Ok(batch); // still being written
@@ -451,13 +399,11 @@ impl SegmentFollower {
                 return Err(SegmentError::BadMagic);
             }
             let version = bytes[MAGIC.len()];
-            if version != VERSION && version != VERSION_V1 {
+            if version != VERSION {
                 return Err(SegmentError::UnsupportedVersion(version));
             }
-            self.version = Some(version);
             self.offset = MAGIC.len() + 1;
         }
-        let version = self.version.expect("version parsed above");
 
         loop {
             if self.scanning {
@@ -466,18 +412,17 @@ impl SegmentFollower {
                 }
                 continue;
             }
-            let (tag, payload, next) = match complete_chunk(bytes, self.offset, version) {
+            let (tag, payload, next) = match complete_chunk(bytes, self.offset) {
                 Ok(Some(chunk)) => chunk,
                 Ok(None) => {
-                    // In v2 an "in-flight" trailing chunk is a falsifiable
-                    // claim: an append-only producer cannot have completed
-                    // a later chunk while this one is short, so a valid
+                    // An "in-flight" trailing chunk is a falsifiable claim:
+                    // an append-only producer cannot have completed a
+                    // later chunk while this one is short, so a valid
                     // in-order chunk at a later sync marker means the
-                    // trailing length field is corrupt — the v1 stall this
-                    // version exists to fix. `corrupted` arms the scan
-                    // (resync) or fails loudly (strict); the scan then
-                    // recovers at the chunk that disproved the claim.
-                    if version >= VERSION && self.disproven(bytes) {
+                    // trailing length field is corrupt. `corrupted` arms
+                    // the scan (resync) or fails loudly (strict); the scan
+                    // then recovers at the chunk that disproved the claim.
+                    if self.disproven(bytes) {
                         self.corrupted(SegmentError::Corrupt(
                             "trailing chunk disproven by a later sync marker",
                         ))?;
@@ -503,8 +448,8 @@ impl SegmentFollower {
 
     /// Whether an apparently in-flight trailing chunk at `offset` is
     /// disproven by a complete, checksum-valid, in-order intervals chunk
-    /// at a later sync marker (v2 only; pre-header there is nothing to
-    /// validate a later chunk against, so header corruption stays
+    /// at a later sync marker (pre-header there is nothing to validate a
+    /// later chunk against, so header corruption stays
     /// terminal-or-waiting as documented).
     fn disproven(&self, bytes: &[u8]) -> bool {
         let Some(n_paths) = self.n_paths else {
@@ -514,7 +459,7 @@ impl SegmentFollower {
         // contradict it.
         let mut at = self.offset + 1;
         while let Some(pos) = find_sync(bytes, at) {
-            if let Ok(Some((TAG_INTERVALS, payload, _))) = complete_chunk(bytes, pos, VERSION) {
+            if let Ok(Some((TAG_INTERVALS, payload, _))) = complete_chunk(bytes, pos) {
                 if let Ok((first, _)) = parse_intervals(payload, n_paths) {
                     if first >= self.seen_intervals {
                         return true;
@@ -595,29 +540,20 @@ impl SegmentFollower {
         self.scanning = false;
     }
 
-    /// Advances the forward scan. The first complete, checksum-valid
+    /// Advances the forward scan. Candidates are exactly the sync-marker
+    /// positions from `scan_at` on. The first complete, checksum-valid
     /// intervals chunk with an in-order first interval wins (recovery —
-    /// emits the gap and the chunk, returns `true`); otherwise the scan
-    /// pauses and resumes next poll (returns `false`). In v2 the scan
-    /// hops from sync marker to sync marker; in v1 — no markers on the
-    /// wire — it must trial-decode at every byte offset.
+    /// emits the gap and the chunk, returns `true`). A candidate that is
+    /// short of bytes could be a chunk in flight — the scan pauses there
+    /// (and re-checks it next poll) but keeps sweeping past it, since a
+    /// later complete chunk disproves it; with no recovery the scan
+    /// returns `false` and resumes next poll.
     fn scan(&mut self, bytes: &[u8], batch: &mut SegmentBatch) -> bool {
-        match self.version {
-            Some(VERSION_V1) => self.scan_v1(bytes, batch),
-            _ => self.scan_v2(bytes, batch),
-        }
-    }
-
-    /// v2 scan: candidates are exactly the sync-marker positions from
-    /// `scan_at` on. A candidate that is short of bytes could be a chunk
-    /// in flight — the scan pauses there (and re-checks it next poll) but
-    /// keeps sweeping past it, since a later complete chunk disproves it.
-    fn scan_v2(&mut self, bytes: &[u8], batch: &mut SegmentBatch) -> bool {
         let n_paths = self.n_paths.expect("scan is only armed after the header");
         let mut pending: Option<usize> = None;
         let mut at = self.scan_at;
         while let Some(pos) = find_sync(bytes, at) {
-            match complete_chunk(bytes, pos, VERSION) {
+            match complete_chunk(bytes, pos) {
                 Ok(None) => {
                     pending.get_or_insert(pos);
                 }
@@ -641,38 +577,6 @@ impl SegmentFollower {
                 .saturating_sub(SYNC_MARKER.len() - 1)
                 .max(self.scan_at)
         });
-        false
-    }
-
-    /// v1 scan: tries every byte offset from `scan_at` to the end of the
-    /// buffer. If nothing validates the scan pauses at the earliest
-    /// offset that still *could* be a chunk in flight — garbage can
-    /// masquerade as an incomplete chunk (e.g. a window onto a later
-    /// chunk's small LE length field), so a single "not enough bytes yet"
-    /// candidate must not stop the sweep — and resumes there next poll.
-    fn scan_v1(&mut self, bytes: &[u8], batch: &mut SegmentBatch) -> bool {
-        let n_paths = self.n_paths.expect("scan is only armed after the header");
-        let mut pending: Option<usize> = None;
-        let mut at = self.scan_at;
-        while at < bytes.len() {
-            match complete_chunk(bytes, at, VERSION_V1) {
-                Ok(None) => {
-                    pending.get_or_insert(at);
-                    at += 1;
-                }
-                Ok(Some((TAG_INTERVALS, payload, next))) => {
-                    if let Ok((first, rows)) = parse_intervals(payload, n_paths) {
-                        if first >= self.seen_intervals {
-                            self.recover(batch, at, first, rows, next);
-                            return true;
-                        }
-                    }
-                    at += 1;
-                }
-                Ok(Some(_)) | Err(_) => at += 1,
-            }
-        }
-        self.scan_at = pending.unwrap_or(bytes.len());
         false
     }
 }
@@ -711,16 +615,11 @@ fn parse_intervals(payload: &[u8], n_paths: usize) -> Result<(usize, IntervalRow
 /// the bytes run out before the chunk does (still being written).
 type ChunkAt<'a> = Option<(u8, &'a [u8], usize)>;
 
-/// Parses the chunk at `offset` if it is completely present, in the given
-/// format version (v2 chunks lead with the sync marker). Verifies the
-/// chunk checksum.
-fn complete_chunk(bytes: &[u8], offset: usize, version: u8) -> Result<ChunkAt<'_>, SegmentError> {
+/// Parses the chunk at `offset` if it is completely present, verifying
+/// its leading sync marker and its checksum.
+fn complete_chunk(bytes: &[u8], offset: usize) -> Result<ChunkAt<'_>, SegmentError> {
     let rest = &bytes[offset.min(bytes.len())..];
-    let sync = if version == VERSION_V1 {
-        0
-    } else {
-        SYNC_MARKER.len()
-    };
+    let sync = SYNC_MARKER.len();
     // Validate the marker as its bytes arrive (like the wire magic): a
     // tail that already disagrees with the marker prefix is corruption,
     // not a chunk in flight, however short it is.
@@ -1031,10 +930,10 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// The headline regression for protocol v2: corrupt the *length
+    /// The headline regression for the sync marker: corrupt the *length
     /// field* of the final in-flight chunk — plausible (below
     /// `MAX_CHUNK_BYTES`) but wrong, so the chunk forever claims to be
-    /// incomplete. The v2 follower disproves the claim at the next sync
+    /// incomplete. The follower disproves the claim at the next sync
     /// marker, reports the loss as a gap, and consumes the following
     /// chunk.
     #[test]
@@ -1050,7 +949,8 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         // The middle chunk's length field starts after its sync marker
         // and tag. Add 2^24 bytes: plausible, but the file ends first —
-        // in v1 this claims "still being written" forever.
+        // without the sync marker this would claim "still being written"
+        // forever.
         bytes[clean + SYNC_MARKER.len() + 1 + 3] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
 
@@ -1109,61 +1009,6 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// The frozen v1 format cannot fix the stall: the same corruption
-    /// leaves the follower waiting forever even after a later chunk
-    /// lands. Pinned as a documented limitation — this test is the
-    /// motivation for version 2, not a bug to fix in v1.
-    #[test]
-    fn v1_stalls_forever_on_a_corrupt_length_field_documented_limitation() {
-        let set = sample_set(30);
-        let path = temp_path("length-stall-v1");
-        let mut w = SegmentWriter::create_v1(&path, &set).unwrap();
-        w.append_intervals(&set.log, 0, 10).unwrap();
-        let clean = std::fs::read(&path).unwrap().len();
-        w.append_intervals(&set.log, 10, 20).unwrap();
-        w.append_intervals(&set.log, 20, 30).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        // v1 chunk layout: tag, then the length field.
-        bytes[clean + 1 + 3] ^= 0x01;
-        std::fs::write(&path, &bytes).unwrap();
-
-        let mut f = SegmentFollower::open(&path).with_resync(true);
-        let batch = f.poll().unwrap();
-        assert_eq!(batch.rows().count(), 10);
-        // The third chunk is on disk and valid, but the follower cannot
-        // see past the lying length field: every further poll is empty.
-        for _ in 0..5 {
-            let again = f.poll().unwrap();
-            assert!(again.is_empty(), "v1 unexpectedly recovered");
-        }
-        assert_eq!(f.intervals_seen(), 10);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn v2_follower_reads_v1_files_bit_identically() {
-        let set = sample_set(12);
-        let p1 = temp_path("interop-v1");
-        let p2 = temp_path("interop-v2");
-        let mut w1 = SegmentWriter::create_v1(&p1, &set).unwrap();
-        let mut w2 = SegmentWriter::create(&p2, &set).unwrap();
-        for w in [&mut w1, &mut w2] {
-            w.append_intervals(&set.log, 0, 5).unwrap();
-            w.append_intervals(&set.log, 5, 12).unwrap();
-        }
-        let mut f1 = SegmentFollower::open(&p1);
-        let mut f2 = SegmentFollower::open(&p2);
-        let b1 = f1.poll().unwrap();
-        let b2 = f2.poll().unwrap();
-        assert_eq!(b1.header().unwrap(), b2.header().unwrap());
-        let rows1: Vec<_> = b1.rows().cloned().collect();
-        let rows2: Vec<_> = b2.rows().cloned().collect();
-        assert_eq!(rows1, rows2);
-        assert_eq!(rows1.len(), 12);
-        std::fs::remove_file(&p1).unwrap();
-        std::fs::remove_file(&p2).unwrap();
-    }
-
     #[test]
     fn future_segment_version_is_rejected_at_the_version_byte() {
         let set = sample_set(3);
@@ -1171,17 +1016,20 @@ mod tests {
         let mut w = SegmentWriter::create(&path, &set).unwrap();
         w.append_intervals(&set.log, 0, 3).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[MAGIC.len()] = 3;
-        std::fs::write(&path, &bytes).unwrap();
+        // The retired version 1 and a future version 3 both stop at the
+        // version byte, before any chunk length is interpreted.
+        for v in [1u8, 3] {
+            bytes[MAGIC.len()] = v;
+            std::fs::write(&path, &bytes).unwrap();
+            let mut f = SegmentFollower::open(&path);
+            assert!(matches!(f.poll(), Err(SegmentError::UnsupportedVersion(got)) if got == v));
+        }
+        // The 8-byte prefix alone is enough to reject version 1.
         let mut f = SegmentFollower::open(&path);
-        assert!(matches!(f.poll(), Err(SegmentError::UnsupportedVersion(3))));
-        // A deployed v1 reader's prefix check was `version != 1` →
-        // UnsupportedVersion(version): a v2 file fails it at the version
-        // byte, before any length is interpreted — negotiation, never a
-        // checksum or allocation error.
-        bytes[MAGIC.len()] = VERSION;
-        assert_eq!(bytes[MAGIC.len()], 2);
-        assert_ne!(bytes[MAGIC.len()], VERSION_V1);
+        assert!(matches!(
+            f.poll_bytes(b"NNISEGS\x01"),
+            Err(SegmentError::UnsupportedVersion(1))
+        ));
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -388,4 +388,34 @@ mod tests {
         ));
         fs::remove_dir_all(&dir).unwrap();
     }
+
+    #[test]
+    fn retired_segment_version_is_reported_corrupt_once() {
+        let dir = temp_dir("version");
+        let mut tail = CorpusTail::open(&dir).unwrap();
+        let set = tiny_set("old", 3, 6);
+        let path = dir.join(crate::corpus::segment_file_name(&set.provenance));
+        let mut w = SegmentWriter::create(&path, &set).unwrap();
+        w.append_intervals(&set.log, 0, 3).unwrap();
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[7] = 1; // the retired segment version
+        fs::write(&path, &bytes).unwrap();
+
+        let events = tail.poll().unwrap();
+        match &events[..] {
+            [TailEvent::Corrupt { path: p, message }] => {
+                assert_eq!(p, &path);
+                assert!(
+                    message.contains("unsupported segment version 1"),
+                    "{message}"
+                );
+            }
+            other => panic!("unexpected events {other:?}"),
+        }
+        // The follower error is terminal: later growth is ignored.
+        w.append_intervals(&set.log, 3, 6).unwrap();
+        assert!(tail.poll().unwrap().is_empty(), "reported once");
+        assert!(tail.poll().unwrap().is_empty());
+        fs::remove_dir_all(&dir).unwrap();
+    }
 }

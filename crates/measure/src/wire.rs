@@ -20,23 +20,21 @@
 //! checksum  u64 LE    FNV-1a over every preceding byte (magic included)
 //! ```
 //!
-//! Version 1 is the same layout without the sync marker. The marker is
-//! what makes v2 streams recoverable without trusting the length field: a
-//! reader that loses framing scans for the next marker instead of
-//! trial-decoding at every byte offset, so a corrupted *length* can no
-//! longer masquerade as an in-flight message forever.
+//! The sync marker makes a stream recoverable without trusting the length
+//! field: a reader that loses framing scans for the next marker instead
+//! of trial-decoding at every byte offset, so a corrupted *length* cannot
+//! masquerade as an in-flight message forever.
 //!
-//! # Negotiation
+//! # Versioning
 //!
-//! The magic and version byte lead both layouts, so the version byte is
-//! the compatibility gate in both directions: this (v2) reader accepts v1
-//! frames bit-identically, and a deployed v1 reader that meets a v2 frame
-//! stops at the version byte with [`CodecError::UnsupportedVersion`]`(2)` —
-//! never a checksum or allocation error, because it rejects before ever
-//! interpreting a length. Readers reject bad magic, newer versions, and
-//! checksum mismatches with typed [`CodecError`]s; a clean end-of-stream
-//! *between* frames reads as `Ok(None)`, while a stream that dies mid-frame
-//! is [`CodecError::UnexpectedEof`].
+//! The version byte sits at offset 7, right after the magic, and is the
+//! one compatibility gate: any version other than [`FRAME_VERSION`] —
+//! the retired version 1 included — fails there with
+//! [`CodecError::UnsupportedVersion`], before a length is ever read or
+//! interpreted. Readers reject bad magic, other versions, and checksum
+//! mismatches with typed [`CodecError`]s; a clean end-of-stream *between*
+//! frames reads as `Ok(None)`, while a stream that dies mid-frame is
+//! [`CodecError::UnexpectedEof`].
 
 use std::io::{Read, Write};
 
@@ -46,14 +44,11 @@ use crate::dataset::Fnv;
 /// Current frame-format version (all frame magics): sync-marker frames.
 pub const FRAME_VERSION: u8 = 2;
 
-/// The frozen version-1 frame format (no sync marker). Still fully
-/// readable; [`frame_bytes_v1`] still writes it for compatibility tests.
-pub const FRAME_VERSION_V1: u8 = 1;
-
-/// The 8-byte synchronization marker that leads every v2 frame and every
-/// v2 segment chunk. Chosen like the PNG signature: a high bit set (so
-/// 7-bit-clean transports corrupt it loudly), the protocol name, and a
-/// CR-LF tail that newline-translating transports would mangle.
+/// The 8-byte synchronization marker that follows the version byte of
+/// every frame and leads every segment chunk. Chosen like the PNG
+/// signature: a high bit set (so 7-bit-clean transports corrupt it
+/// loudly), the protocol name, and a CR-LF tail that newline-translating
+/// transports would mangle.
 pub const SYNC_MARKER: [u8; 8] = [0xC5, b'N', b'N', b'I', b'2', 0x96, 0x0D, 0x0A];
 
 /// Append-only byte sink with the codec primitives: little-endian
@@ -247,7 +242,7 @@ impl From<CodecError> for FrameError {
     }
 }
 
-/// Serializes one v2 frame: magic, version byte, sync marker, payload
+/// Serializes one frame: magic, version byte, sync marker, payload
 /// length, payload, and the trailing FNV-1a checksum over everything
 /// before it.
 pub fn frame_bytes(magic: &[u8; 7], payload: &[u8]) -> Vec<u8> {
@@ -255,24 +250,6 @@ pub fn frame_bytes(magic: &[u8; 7], payload: &[u8]) -> Vec<u8> {
     w.raw(magic);
     w.u8(FRAME_VERSION);
     w.raw(&SYNC_MARKER);
-    w.u64(payload.len() as u64);
-    w.raw(payload);
-    let mut h = Fnv::new();
-    for &b in w.bytes() {
-        h.byte(b);
-    }
-    let checksum = h.0;
-    w.u64(checksum);
-    w.into_bytes()
-}
-
-/// Serializes one frozen version-1 frame (no sync marker) — what every
-/// pre-v2 binary wrote. Kept so interop tests can generate genuine v1
-/// streams and pin that [`read_frame`] accepts them bit-identically.
-pub fn frame_bytes_v1(magic: &[u8; 7], payload: &[u8]) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.raw(magic);
-    w.u8(FRAME_VERSION_V1);
     w.u64(payload.len() as u64);
     w.raw(payload);
     let mut h = Fnv::new();
@@ -304,8 +281,8 @@ fn read_frame_bytes(input: &mut impl Read, buf: &mut [u8]) -> Result<(), FrameEr
     })
 }
 
-/// Reads one frame (version 1 or 2) from a stream, verifying magic,
-/// version, sync marker (v2), and checksum.
+/// Reads one frame from a stream, verifying magic, version, sync marker,
+/// and checksum.
 ///
 /// Returns `Ok(None)` on a clean end-of-stream (no bytes before EOF) — how
 /// a worker recognizes an orderly shutdown; an EOF *inside* a frame is
@@ -339,71 +316,21 @@ pub fn read_frame(input: &mut impl Read, magic: &[u8; 7]) -> Result<Option<Vec<u
     let mut header: Vec<u8> = Vec::with_capacity(7 + 1 + 8 + 8);
     header.extend_from_slice(&head);
     header.push(version);
-    match version {
-        FRAME_VERSION_V1 => {}
-        FRAME_VERSION => {
-            let mut sync = [0u8; 8];
-            read_frame_bytes(input, &mut sync)?;
-            if sync != SYNC_MARKER {
-                return Err(CodecError::BadValue("frame sync marker mismatch").into());
-            }
-            header.extend_from_slice(&sync);
-        }
-        other => return Err(CodecError::UnsupportedVersion(other).into()),
+    if version != FRAME_VERSION {
+        return Err(CodecError::UnsupportedVersion(version).into());
     }
+    let mut sync = [0u8; 8];
+    read_frame_bytes(input, &mut sync)?;
+    if sync != SYNC_MARKER {
+        return Err(CodecError::BadValue("frame sync marker mismatch").into());
+    }
+    header.extend_from_slice(&sync);
     let mut len_bytes = [0u8; 8];
     read_frame_bytes(input, &mut len_bytes)?;
     header.extend_from_slice(&len_bytes);
     let len = u64::from_le_bytes(len_bytes);
     // A frame is one in-flight message, not a corpus: cap the payload so a
     // corrupted length fails loudly instead of attempting a huge allocation.
-    const MAX_FRAME: u64 = 1 << 32;
-    if len > MAX_FRAME {
-        return Err(CodecError::BadValue("frame payload over 4 GiB").into());
-    }
-    let mut payload = vec![0u8; len as usize];
-    read_frame_bytes(input, &mut payload)?;
-    let mut trailer = [0u8; 8];
-    read_frame_bytes(input, &mut trailer)?;
-    let mut h = Fnv::new();
-    for &b in header.iter().chain(&payload) {
-        h.byte(b);
-    }
-    if u64::from_le_bytes(trailer) != h.0 {
-        return Err(CodecError::ChecksumMismatch.into());
-    }
-    Ok(Some(payload))
-}
-
-/// The frozen version-1 reader, byte-for-byte what every pre-v2 binary
-/// runs: reads the full 16-byte header before validating anything and
-/// accepts only version 1. Kept so interop tests can pin how deployed v1
-/// readers classify v2 input ([`CodecError::UnsupportedVersion`]`(2)`,
-/// never a checksum or allocation error) — including its documented
-/// rough edge that short garbage reads as `UnexpectedEof`.
-pub fn read_frame_v1(
-    input: &mut impl Read,
-    magic: &[u8; 7],
-) -> Result<Option<Vec<u8>>, FrameError> {
-    let mut header = [0u8; 16]; // magic + version + length
-    let mut got = 0usize;
-    while got < header.len() {
-        let n = input.read(&mut header[got..])?;
-        if n == 0 {
-            if got == 0 {
-                return Ok(None); // clean EOF between frames
-            }
-            return Err(CodecError::UnexpectedEof.into());
-        }
-        got += n;
-    }
-    if &header[..7] != magic {
-        return Err(CodecError::BadMagic.into());
-    }
-    if header[7] != FRAME_VERSION_V1 {
-        return Err(CodecError::UnsupportedVersion(header[7]).into());
-    }
-    let len = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
     const MAX_FRAME: u64 = 1 << 32;
     if len > MAX_FRAME {
         return Err(CodecError::BadValue("frame payload over 4 GiB").into());
@@ -471,14 +398,22 @@ mod tests {
         b[0] ^= 0xFF;
         let err = read_frame(&mut b.as_slice(), MAGIC).unwrap_err();
         assert!(matches!(err, FrameError::Codec(CodecError::BadMagic)));
-        // Future version.
-        let mut b = bytes.clone();
-        b[7] = 9;
-        let err = read_frame(&mut b.as_slice(), MAGIC).unwrap_err();
-        assert!(matches!(
-            err,
-            FrameError::Codec(CodecError::UnsupportedVersion(9))
-        ));
+        // The retired version 1 and a future version both stop at the
+        // version byte — also when the stream ends right after it, so the
+        // reader never waits for a length it will not interpret.
+        for v in [1u8, 9] {
+            let mut b = bytes.clone();
+            b[7] = v;
+            let prefix = [&MAGIC[..], &[v]].concat();
+            for input in [&b[..], &prefix[..]] {
+                let err = read_frame(&mut &input[..], MAGIC).unwrap_err();
+                assert!(
+                    matches!(err, FrameError::Codec(CodecError::UnsupportedVersion(got)) if got == v),
+                    "version {v}, {} bytes -> {err:?}",
+                    input.len()
+                );
+            }
+        }
         // Damaged sync marker.
         let mut b = bytes.clone();
         b[10] ^= 0x20;
@@ -487,7 +422,7 @@ mod tests {
             err,
             FrameError::Codec(CodecError::BadValue("frame sync marker mismatch"))
         ));
-        // Flipped payload byte trips the checksum (v2 payload starts at
+        // Flipped payload byte trips the checksum (the payload starts at
         // magic + version + sync + length = 24).
         let mut b = bytes.clone();
         b[24] ^= 0x01;
@@ -510,27 +445,6 @@ mod tests {
         assert!(matches!(
             err,
             FrameError::Codec(CodecError::BadValue("frame payload over 4 GiB"))
-        ));
-    }
-
-    #[test]
-    fn v2_reader_accepts_v1_frames() {
-        let mut stream = Vec::new();
-        stream.extend_from_slice(&frame_bytes_v1(MAGIC, b"legacy"));
-        stream.extend_from_slice(&frame_bytes(MAGIC, b"modern"));
-        let mut cursor = std::io::Cursor::new(stream);
-        assert_eq!(read_frame(&mut cursor, MAGIC).unwrap().unwrap(), b"legacy");
-        assert_eq!(read_frame(&mut cursor, MAGIC).unwrap().unwrap(), b"modern");
-        assert!(read_frame(&mut cursor, MAGIC).unwrap().is_none());
-    }
-
-    #[test]
-    fn v1_reader_rejects_v2_frames_at_the_version_byte() {
-        let bytes = frame_bytes(MAGIC, b"from the future");
-        let err = read_frame_v1(&mut bytes.as_slice(), MAGIC).unwrap_err();
-        assert!(matches!(
-            err,
-            FrameError::Codec(CodecError::UnsupportedVersion(FRAME_VERSION))
         ));
     }
 

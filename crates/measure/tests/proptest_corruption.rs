@@ -11,8 +11,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use nni_measure::codec::{self, CodecError};
 use nni_measure::{
-    frame_bytes, frame_bytes_v1, read_frame, read_frame_v1, DelayStats, FrameError, MeasurementLog,
-    MeasurementSet, Provenance, SegmentFollower, SegmentItem, SegmentWriter, FRAME_VERSION,
+    frame_bytes, read_frame, DelayStats, FrameError, MeasurementLog, MeasurementSet, Provenance,
+    SegmentFollower, SegmentItem, SegmentWriter,
 };
 use nni_topology::{PathId, TopologyBuilder};
 use proptest::prelude::*;
@@ -133,7 +133,6 @@ proptest! {
         let _ = codec::decode(&soup);
         let _ = codec::decode_prefix(&soup);
         let _ = read_frame(&mut Cursor::new(&soup), MAGIC);
-        let _ = read_frame_v1(&mut Cursor::new(&soup), MAGIC);
     }
 
     /// A single flipped bit anywhere in an encoded measurement set is
@@ -264,47 +263,14 @@ proptest! {
         prop_assert!(codec::decode(&bytes).is_err());
     }
 
-    /// The frozen v1 set reader accepts every loss-only stream (which
-    /// still encodes as version 1, bit-identical to pre-delay builds) and
-    /// rejects every delay-carrying stream with the typed
-    /// `UnsupportedVersion(2)` — the pre-delay compatibility contract.
+    /// Every loss-only stream still encodes as set version 1 —
+    /// byte-identical to pre-delay builds — and decodes back to the set.
     #[test]
     fn v1_set_reader_interop(intervals in 1usize..20, salt in 0u64..u64::MAX) {
         let loss_only = sample_set(intervals, salt);
         let bytes = codec::encode(&loss_only);
         prop_assert_eq!(bytes[7], 1, "loss-only sets stay version 1");
-        prop_assert_eq!(&codec::decode_v1(&bytes).unwrap(), &loss_only);
-
-        let with_delay = sample_set_with_delay(intervals, salt);
-        prop_assert!(matches!(
-            codec::decode_v1(&codec::encode(&with_delay)),
-            Err(CodecError::UnsupportedVersion(2))
-        ));
-    }
-
-    /// Interop on the measurement wire: a frozen v1 frame carrying an
-    /// encoded set decodes bit-identically through the v2 reader, and a
-    /// v2 frame stops a v1 reader at the version byte with the typed
-    /// `UnsupportedVersion(2)` — by construction, whatever the payload.
-    #[test]
-    fn set_frames_interop_across_wire_versions(
-        intervals in 1usize..20,
-        salt in 0u64..u64::MAX,
-    ) {
-        let set = sample_set(intervals, salt);
-        let encoded = codec::encode(&set);
-
-        let v1 = frame_bytes_v1(MAGIC, &encoded);
-        let payload = read_frame(&mut Cursor::new(&v1), MAGIC)
-            .expect("v1 frame reads clean in the v2 reader")
-            .expect("one frame present");
-        prop_assert_eq!(&codec::decode(&payload).unwrap(), &set);
-
-        let v2 = frame_bytes(MAGIC, &encoded);
-        prop_assert!(matches!(
-            read_frame_v1(&mut Cursor::new(&v2), MAGIC),
-            Err(FrameError::Codec(CodecError::UnsupportedVersion(FRAME_VERSION)))
-        ));
+        prop_assert_eq!(&codec::decode(&bytes).unwrap(), &loss_only);
     }
 
     /// Marker-adjacent corruption in a segment: a flip inside an interval

@@ -13,9 +13,9 @@
 //!
 //! # Frames
 //!
-//! Both frame types use the PR 5 framing (magic, version byte, length, FNV
-//! trailer — see `nni_measure::wire`) with a `job id u64` ahead of the
-//! payload so responses can be matched to requests:
+//! Both frame types use the shared framing of `nni_measure::wire` (magic,
+//! version byte, sync marker, length, FNV trailer) with a `job id u64`
+//! ahead of the payload so responses can be matched to requests:
 //!
 //! ```text
 //! b"NNIWJOB"  job id u64 LE · encoded Scenario

@@ -8,6 +8,8 @@
 //! * the decoded `MeasurementSet` fingerprint — the codec still reads old
 //!   corpora bit-for-bit (the version byte is the upgrade path: a future
 //!   format bumps it and keeps this decoder);
+//! * byte identity of a re-encode — these loss-only sets are codec
+//!   version 1, and `encode` still writes them byte for byte;
 //! * the `InferenceResult` fingerprint of `infer` over the decoded set
 //!   under the default config — inference over replayed measurements stays
 //!   stable across releases.
@@ -19,7 +21,7 @@
 //! first: a mismatch here means previously recorded corpora now replay
 //! differently, which is exactly what this gate exists to catch.
 
-use nni_measure::Corpus;
+use nni_measure::{codec, Corpus};
 use nni_scenario::{infer, InferenceConfig};
 
 fn golden_dir() -> std::path::PathBuf {
@@ -79,6 +81,12 @@ fn committed_corpus_replays_to_golden_fingerprints() {
     let mut current: Vec<(String, u64, u64, u64)> = Vec::new();
     for e in &entries {
         let set = e.acquire().expect("committed entry decodes");
+        let bytes = std::fs::read(e.path()).expect("committed entry reads");
+        assert!(
+            codec::encode(&codec::decode(&bytes).expect("committed entry decodes")) == bytes,
+            "{}: re-encoding the decoded set changed its bytes",
+            e.path().display()
+        );
         let result = infer(&set, &cfg);
         current.push((
             set.provenance.scenario.clone(),

@@ -130,8 +130,9 @@ fn fault_write(
         }
         Fault::TornFrame => {
             // Enough bytes that the parent is demonstrably *inside* the
-            // frame (past magic + version + length), never a clean EOF.
-            let cut = (bytes.len() / 2).max(17);
+            // frame (past the 24-byte magic + version + sync marker +
+            // length header), never a clean EOF.
+            let cut = (bytes.len() / 2).max(25);
             output.write_all(&bytes[..cut]).map_err(FrameError::Io)?;
             output.flush().map_err(FrameError::Io)?;
             std::process::abort();
